@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -182,7 +183,9 @@ func BenchmarkPartition(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := NewConfig(Fast, 16)
 				cfg.Seed = uint64(i)
-				Partition(c.g, cfg)
+				if _, err := Run(context.Background(), c.g, cfg); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

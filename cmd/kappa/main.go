@@ -198,7 +198,7 @@ func main() {
 		}
 		cut, bal, feasible := evalBlocks(g, *k, *eps, blocks)
 		fmt.Printf("input partition: cut=%d balance=%.4f feasible=%v\n", cut, bal, feasible)
-		refined, rcut, err := core.RefineExistingCtx(ctx, g, cfg, blocks, opts...)
+		refined, rcut, err := core.RefineExisting(ctx, g, cfg, blocks, opts...)
 		if err != nil {
 			fail(err)
 		}

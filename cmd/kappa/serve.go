@@ -157,7 +157,7 @@ func runServe(args []string) {
 	if st != nil {
 		res, err = remote.ServeStore(ctx, ln, st, cfg, so, opts...)
 	} else {
-		res, err = remote.ServeWith(ctx, ln, g, cfg, so, opts...)
+		res, err = remote.Serve(ctx, ln, g, cfg, so, opts...)
 	}
 	if err != nil {
 		fail(err)

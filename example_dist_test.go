@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro"
@@ -23,7 +24,11 @@ func ExampleDistribute() {
 	cfg := repro.NewConfig(repro.Fast, pes)
 	cfg.Distribution = repro.DistRCB
 	cfg.Seed = 42
-	res := repro.Partition(g, cfg)
+	res, err := repro.Run(context.Background(), g, cfg)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Println("feasible partition:", res.Cut > 0)
 
 	// Extract each PE's local subgraph plus halo.

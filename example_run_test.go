@@ -8,7 +8,7 @@ import (
 	"repro"
 )
 
-// ExampleRun is the recommended entry point: a context that can cancel the
+// ExampleRun shows the partitioning entry point: a context that can cancel the
 // run (deadline, Ctrl-C, ...), an error instead of a panic on bad input,
 // and optional functional options — here an Observer counting the typed
 // trace events the pipeline emits while it works.
@@ -47,16 +47,11 @@ func ExampleRun() {
 		fmt.Println("bad config rejected:", err != nil)
 	}
 
-	// The legacy wrapper is byte-compatible for the same seed:
-	legacy := repro.Partition(g, cfg)
-	fmt.Println("legacy-identical:", legacy.Cut == res.Cut)
-
 	// Output:
 	// feasible: true cut agrees: true
 	// observed levels: true
 	// observed refinement: true
 	// bad config rejected: true
-	// legacy-identical: true
 }
 
 // ExampleRun_transport swaps the message-passing backend of distributed

@@ -6,7 +6,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"os"
 
 	"repro"
 	"repro/internal/part"
@@ -20,7 +22,7 @@ func main() {
 	for _, v := range []repro.Variant{repro.Minimal, repro.Fast, repro.Strong} {
 		cfg := repro.NewConfig(v, k)
 		cfg.Seed = 11
-		res := repro.Partition(mesh, cfg)
+		res := run(mesh, cfg)
 		fmt.Printf("%-14s cut=%5d balance=%.3f time=%v\n",
 			v, res.Cut, res.Balance, res.TotalTime.Round(1e6))
 	}
@@ -28,7 +30,7 @@ func main() {
 	// Decompose with the Strong preset and report solver-facing statistics.
 	cfg := repro.NewConfig(repro.Strong, k)
 	cfg.Seed = 11
-	res := repro.Partition(mesh, cfg)
+	res := run(mesh, cfg)
 	p := part.FromBlocks(mesh, k, cfg.Eps, res.Blocks)
 
 	boundary := make([]int, k)
@@ -41,4 +43,14 @@ func main() {
 		fmt.Printf("%5d %8d %10d %10d\n", b, p.BlockWeight(b), boundary[b], p.ExternalDegree(b))
 	}
 	fmt.Printf("\ntotal cut %d = halo-exchange edges per solver iteration\n", res.Cut)
+}
+
+// run partitions g under cfg, exiting on error.
+func run(g *repro.Graph, cfg repro.Config) repro.Result {
+	res, err := repro.Run(context.Background(), g, cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mesh:", err)
+		os.Exit(1)
+	}
+	return res
 }

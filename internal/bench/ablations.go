@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -49,7 +51,7 @@ func runKwayVariant(g *graph.Graph, k int, reps int) Row {
 		cfg.LocalIter = 1
 		cfg.BandDepth = 1
 		cfg.Patience = 0.01
-		res := core.Partition(g, cfg)
+		res := mustRun(g, cfg)
 		p := part.FromBlocks(g, k, cfg.Eps, res.Blocks)
 		refine.KWayGreedy(p, 3, rng.New(uint64(i)))
 		totalCut += float64(p.Cut())
@@ -220,8 +222,12 @@ func AblationEvolveVsRestarts(w io.Writer, o Options) {
 		for _, k := range o.Ks {
 			cfg := core.NewConfig(core.Fast, k)
 			cfg.Seed = 17
-			restarts := core.Evolve(in.Graph(), cfg, 4, 0) // 4 independent runs
-			evolved := core.Evolve(in.Graph(), cfg, 2, 2)  // 2 + 2 with mutation
+			restarts, err1 := core.Evolve(context.Background(), in.Graph(), cfg, 4, 0) // 4 independent runs
+			evolved, err2 := core.Evolve(context.Background(), in.Graph(), cfg, 2, 2)  // 2 + 2 with mutation
+			if err := errors.Join(err1, err2); err != nil {
+				fmt.Fprintf(w, "%-14s error: %v\n", in.Name, err)
+				continue
+			}
 			fmt.Fprintf(w, "%-14s %-12s %10d\n", in.Name, "restarts", restarts.Cut)
 			fmt.Fprintf(w, "%-14s %-12s %10d\n", in.Name, "evolve", evolved.Cut)
 		}

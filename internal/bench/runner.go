@@ -41,13 +41,7 @@ func RunKaPPa(g *graph.Graph, cfg core.Config, reps int) Row {
 	arena := mem.NewArena()
 	for i := 0; i < reps; i++ {
 		cfg.Seed = uint64(i)*0x5bd1e995 + 7
-		res, err := core.Run(context.Background(), g, cfg, core.WithObserver(&tm), core.WithArena(arena))
-		if err != nil {
-			// The harness only constructs valid configurations; an error
-			// here is a bug in the harness itself.
-			//kappa:allow panicfree harness-internal configurations are valid by construction
-			panic("bench: " + err.Error())
-		}
+		res := mustRun(g, cfg, core.WithObserver(&tm), core.WithArena(arena))
 		totalCut += float64(res.Cut)
 		totalBal += res.Balance
 		if i == 0 || res.Cut < row.BestCut {
@@ -61,6 +55,18 @@ func RunKaPPa(g *graph.Graph, cfg core.Config, reps int) Row {
 	row.AvgInit = tm.Init / time.Duration(reps)
 	row.AvgRefine = tm.Refine / time.Duration(reps)
 	return row
+}
+
+// mustRun runs the pipeline on a harness-built configuration. The harness
+// only constructs valid configurations, so an error here is a bug in the
+// harness itself.
+func mustRun(g *graph.Graph, cfg core.Config, opts ...core.Option) core.Result {
+	res, err := core.Run(context.Background(), g, cfg, opts...)
+	if err != nil {
+		//kappa:allow panicfree harness-internal configurations are valid by construction
+		panic("bench: " + err.Error())
+	}
+	return res
 }
 
 // RunTool runs a baseline partitioner `reps` times with different seeds.

@@ -1,6 +1,8 @@
 package coarsen
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 
 	"repro/internal/dist"
@@ -37,8 +39,9 @@ type PEContraction struct {
 // the stitched graph by exactly one side (again the smaller-global-id
 // endpoint's owner), so coarse edge weights come out identical to a
 // shared-memory contraction of the same matching. Returns the coarse graph
-// and the fine→coarse node map of the global graph.
-func ContractDistributed(g *graph.Graph, sgs []*dist.Subgraph, ms []matching.Matching, ex dist.Transport) (*graph.Graph, []int32) {
+// and the fine→coarse node map of the global graph; an error can only come
+// from Stitch rejecting the parts, which for in-process parts is a bug.
+func ContractDistributed(g *graph.Graph, sgs []*dist.Subgraph, ms []matching.Matching, ex dist.Transport) (*graph.Graph, []int32, error) {
 	pes := len(sgs)
 	parts := make([]*PEContraction, pes)
 	var wg sync.WaitGroup
@@ -53,24 +56,106 @@ func ContractDistributed(g *graph.Graph, sgs []*dist.Subgraph, ms []matching.Mat
 	return Stitch(g, parts)
 }
 
+// StitchError reports per-PE contraction parts that do not fit together
+// into a coarse graph of the fine graph they claim to contract. PE names the
+// offending part (-1 when no single part is to blame: a fine node no part
+// covers).
+type StitchError struct {
+	PE  int
+	Err error
+}
+
+func (e *StitchError) Error() string {
+	if e.PE < 0 {
+		return fmt.Sprintf("coarsen: stitch: %v", e.Err)
+	}
+	return fmt.Sprintf("coarsen: stitch: PE %d: %v", e.PE, e.Err)
+}
+
+func (e *StitchError) Unwrap() error { return e.Err }
+
 // Stitch assembles the per-PE contraction contributions into the next-level
 // global coarse graph and the fine→coarse map. Parts must be ordered by PE;
 // every per-PE list is deterministic, so the assembled graph is too.
-func Stitch(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32) {
+//
+// Parts may come from other processes, so Stitch checks them before building
+// anything and returns a *StitchError instead of panicking when they are
+// inconsistent: coarse ids must number the parts contiguously in PE order,
+// parallel arrays must have equal lengths, every coarse id and edge endpoint
+// must lie in [0, total), edge weights must be positive, every fine node
+// must be covered by exactly one part, and every coarse node's weight must
+// equal the summed weight of its fine members.
+func Stitch(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32, error) {
+	n := g.NumNodes()
 	total := 0
-	for _, p := range parts {
+	for pe, p := range parts {
+		if p == nil {
+			return nil, nil, &StitchError{pe, errors.New("missing contraction")}
+		}
+		if int(p.FirstCoarse) != total {
+			return nil, nil, &StitchError{pe, fmt.Errorf("first coarse id %d, want %d", p.FirstCoarse, total)}
+		}
 		total += len(p.Weights)
+		if total > n {
+			return nil, nil, &StitchError{pe, fmt.Errorf("%d coarse nodes exceed the %d fine nodes", total, n)}
+		}
+	}
+	coarseWeight := make([]int64, total)
+	fine2coarse := make([]int32, n)
+	for i := range fine2coarse {
+		fine2coarse[i] = -1
+	}
+	coords := g.CoordDims()
+	for pe, p := range parts {
+		nc := len(p.Weights)
+		if coords > 0 && (len(p.CX) != nc || len(p.CY) != nc || coords == 3 && len(p.CZ) != nc) {
+			return nil, nil, &StitchError{pe, fmt.Errorf("coordinate arrays do not match %d coarse nodes", nc)}
+		}
+		if len(p.EdgeV) != len(p.EdgeU) || len(p.EdgeW) != len(p.EdgeU) {
+			return nil, nil, &StitchError{pe, fmt.Errorf("edge arrays have lengths %d/%d/%d", len(p.EdgeU), len(p.EdgeV), len(p.EdgeW))}
+		}
+		for i := range p.EdgeU {
+			u, v, w := p.EdgeU[i], p.EdgeV[i], p.EdgeW[i]
+			if u < 0 || int(u) >= total || v < 0 || int(v) >= total || w <= 0 {
+				return nil, nil, &StitchError{pe, fmt.Errorf("edge {%d,%d} weight %d invalid for %d coarse nodes", u, v, w, total)}
+			}
+		}
+		if len(p.FineCoarse) != len(p.FineGlobal) {
+			return nil, nil, &StitchError{pe, fmt.Errorf("%d fine nodes but %d coarse ids", len(p.FineGlobal), len(p.FineCoarse))}
+		}
+		for i, gv := range p.FineGlobal {
+			c := p.FineCoarse[i]
+			switch {
+			case gv < 0 || int(gv) >= n:
+				return nil, nil, &StitchError{pe, fmt.Errorf("fine node %d out of range [0, %d)", gv, n)}
+			case fine2coarse[gv] >= 0:
+				return nil, nil, &StitchError{pe, fmt.Errorf("fine node %d covered twice", gv)}
+			case c < 0 || int(c) >= total:
+				return nil, nil, &StitchError{pe, fmt.Errorf("fine node %d maps to coarse id %d outside [0, %d)", gv, c, total)}
+			}
+			fine2coarse[gv] = c
+			coarseWeight[c] += g.NodeWeight(gv)
+		}
+	}
+	for v, c := range fine2coarse {
+		if c < 0 {
+			return nil, nil, &StitchError{-1, fmt.Errorf("fine node %d covered by no part", v)}
+		}
 	}
 	b := graph.NewBuilder(total)
-	for _, p := range parts {
+	for pe, p := range parts {
 		for i, w := range p.Weights {
-			b.SetNodeWeight(p.FirstCoarse+int32(i), w)
+			c := p.FirstCoarse + int32(i)
+			if w != coarseWeight[c] {
+				return nil, nil, &StitchError{pe, fmt.Errorf("coarse node %d has weight %d, its fine members %d", c, w, coarseWeight[c])}
+			}
+			b.SetNodeWeight(c, w)
 		}
-		if g.CoordDims() == 3 {
+		if coords == 3 {
 			for i := range p.Weights {
 				b.SetCoord3(p.FirstCoarse+int32(i), p.CX[i], p.CY[i], p.CZ[i])
 			}
-		} else if g.HasCoords() {
+		} else if coords == 2 {
 			for i := range p.Weights {
 				b.SetCoord(p.FirstCoarse+int32(i), p.CX[i], p.CY[i])
 			}
@@ -79,13 +164,7 @@ func Stitch(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32) {
 			b.AddEdge(p.EdgeU[i], p.EdgeV[i], p.EdgeW[i])
 		}
 	}
-	fine2coarse := make([]int32, g.NumNodes())
-	for _, p := range parts {
-		for i, gv := range p.FineGlobal {
-			fine2coarse[gv] = p.FineCoarse[i]
-		}
-	}
-	return b.Build(), fine2coarse
+	return b.Build(), fine2coarse, nil
 }
 
 // ContractSubgraph is the per-PE side of ContractDistributed: the superstep

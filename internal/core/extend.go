@@ -21,31 +21,28 @@ import (
 // from scratch: it runs the parallel pairwise refinement of §5 directly on
 // the finest graph (no multilevel hierarchy), rebalancing first if the input
 // violates the balance constraint. It returns the refined partition and its
-// cut. The input slice is not modified. It is a legacy wrapper (panics on
-// invalid configuration); RefineExistingCtx is the error-returning form.
-func RefineExisting(g *graph.Graph, cfg Config, blocks []int32) ([]int32, int64) {
-	refined, cut, err := RefineExistingCtx(context.Background(), g, cfg, blocks)
-	if err != nil {
-		//kappa:allow panicfree documented legacy wrapper contract: panic on invalid config, use RefineExistingCtx for errors
-		panic(err)
-	}
-	return refined, cut
-}
-
-// RefineExistingCtx is RefineExisting under the new error contract: invalid
-// configurations come back as ErrInvalidConfig-wrapped errors, a cancelled
-// context aborts between global iterations with ctx.Err(), and WithObserver
-// options receive the RefineEvents (there is no hierarchy, so events carry
-// Level 0).
-func RefineExistingCtx(ctx context.Context, g *graph.Graph, cfg Config, blocks []int32, opts ...Option) ([]int32, int64, error) {
+// cut; the input slice is not modified. Invalid configurations and a blocks
+// slice of the wrong length come back as ErrInvalidConfig-wrapped errors, a
+// cancelled context aborts between global iterations with ctx.Err(), and
+// WithObserver options receive the RefineEvents (there is no hierarchy, so
+// events carry Level 0).
+func RefineExisting(ctx context.Context, g *graph.Graph, cfg Config, blocks []int32, opts ...Option) ([]int32, int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if g == nil {
+		return nil, 0, fmt.Errorf("%w: nil graph", ErrInvalidConfig)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
 	if len(blocks) != g.NumNodes() {
 		return nil, 0, fmt.Errorf("%w: %d blocks for %d nodes", ErrInvalidConfig, len(blocks), g.NumNodes())
+	}
+	for v, b := range blocks {
+		if b < 0 || int(b) >= cfg.K {
+			return nil, 0, fmt.Errorf("%w: node %d in block %d, want [0, %d)", ErrInvalidConfig, v, b, cfg.K)
+		}
 	}
 	pl := NewPipeline(opts...)
 	env := &Env{observers: pl.Observers}
@@ -74,7 +71,10 @@ type EvolveResult struct {
 // seeds (mutation) and (b) injecting fresh restarts to keep diversity. The
 // best feasible individual survives. With generations == 0 this degenerates
 // to plain restarts, so the benchmark harness can compare the two regimes.
-func Evolve(g *graph.Graph, cfg Config, population, generations int) EvolveResult {
+// Every run goes through Run and RefineExisting, so Evolve shares their
+// error contract: ErrInvalidConfig-wrapped errors for bad input, ctx.Err()
+// when cancelled.
+func Evolve(ctx context.Context, g *graph.Graph, cfg Config, population, generations int) (EvolveResult, error) {
 	if population < 1 {
 		population = 1
 	}
@@ -82,23 +82,29 @@ func Evolve(g *graph.Graph, cfg Config, population, generations int) EvolveResul
 		blocks []int32
 		cut    int64
 	}
-	run := func(seed uint64) indiv {
+	run := func(seed uint64) (indiv, error) {
 		c := cfg
 		c.Seed = seed
-		res := Partition(g, c)
-		return indiv{res.Blocks, res.Cut}
+		res, err := Run(ctx, g, c)
+		return indiv{res.Blocks, res.Cut}, err
 	}
 	// Initial population: independent restarts, in parallel.
 	pop := make([]indiv, population)
+	errs := make([]error, population)
 	var wg sync.WaitGroup
 	for i := range pop {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			pop[i] = run(cfg.Seed + uint64(i)*0x9e3779b9)
+			pop[i], errs[i] = run(cfg.Seed + uint64(i)*0x9e3779b9)
 		}(i)
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return EvolveResult{}, err
+		}
+	}
 	best := pop[0]
 	for _, in := range pop[1:] {
 		if in.cut < best.cut {
@@ -111,12 +117,18 @@ func Evolve(g *graph.Graph, cfg Config, population, generations int) EvolveResul
 		// FM's randomized queues explore a different neighborhood each time.
 		mcfg := cfg
 		mcfg.Seed = cfg.Seed ^ uint64(gen+1)*0xdeadbeef
-		mutBlocks, mutCut := RefineExisting(g, mcfg, best.blocks)
+		mutBlocks, mutCut, err := RefineExisting(ctx, g, mcfg, best.blocks)
+		if err != nil {
+			return EvolveResult{}, err
+		}
 		if mutCut < best.cut {
 			best = indiv{mutBlocks, mutCut}
 		}
 		// Immigration: one fresh restart per generation keeps diversity.
-		fresh := run(cfg.Seed + uint64(population+gen)*0x9e3779b9)
+		fresh, err := run(cfg.Seed + uint64(population+gen)*0x9e3779b9)
+		if err != nil {
+			return EvolveResult{}, err
+		}
 		restarts++
 		if fresh.cut < best.cut {
 			best = fresh
@@ -127,5 +139,5 @@ func Evolve(g *graph.Graph, cfg Config, population, generations int) EvolveResul
 		Cut:         best.cut,
 		Generations: generations,
 		Restarts:    restarts,
-	}
+	}, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/gen"
@@ -23,7 +25,10 @@ func TestRefineExistingImproves(t *testing.T) {
 	cfg := NewConfig(Fast, 4)
 	cfg.Seed = 5
 	before := part.FromBlocks(g, 4, cfg.Eps, append([]int32(nil), blocks...)).Cut()
-	refined, cut := RefineExisting(g, cfg, blocks)
+	refined, cut, err := RefineExisting(context.Background(), g, cfg, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cut >= before {
 		t.Fatalf("RefineExisting did not improve: %d -> %d", before, cut)
 	}
@@ -47,7 +52,9 @@ func TestRefineExistingPreservesInput(t *testing.T) {
 	}
 	snapshot := append([]int32(nil), blocks...)
 	cfg := NewConfig(Fast, 2)
-	RefineExisting(g, cfg, blocks)
+	if _, _, err := RefineExisting(context.Background(), g, cfg, blocks); err != nil {
+		t.Fatal(err)
+	}
 	for v := range blocks {
 		if blocks[v] != snapshot[v] {
 			t.Fatal("RefineExisting mutated its input")
@@ -60,7 +67,10 @@ func TestRefineExistingRepairsImbalance(t *testing.T) {
 	blocks := make([]int32, g.NumNodes()) // everything in block 0
 	cfg := NewConfig(Fast, 4)
 	cfg.Seed = 3
-	refined, _ := RefineExisting(g, cfg, blocks)
+	refined, _, err := RefineExisting(context.Background(), g, cfg, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := part.FromBlocks(g, 4, cfg.Eps, refined)
 	if !p.Feasible() {
 		t.Fatalf("imbalanced input not repaired: %.3f", p.Imbalance())
@@ -71,8 +81,11 @@ func TestEvolveBeatsOrMatchesSingleRun(t *testing.T) {
 	g := gen.DelaunayX(10, 6)
 	cfg := NewConfig(Fast, 8)
 	cfg.Seed = 11
-	single := Partition(g, cfg).Cut
-	res := Evolve(g, cfg, 3, 2)
+	single := mustRun(t, g, cfg).Cut
+	res, err := Evolve(context.Background(), g, cfg, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Cut > single {
 		t.Fatalf("Evolve (%d) worse than its own first individual's regime (%d)", res.Cut, single)
 	}
@@ -89,11 +102,49 @@ func TestEvolveZeroGenerationsIsRestarts(t *testing.T) {
 	g := gen.Grid2D(16, 16)
 	cfg := NewConfig(Minimal, 4)
 	cfg.Seed = 2
-	res := Evolve(g, cfg, 2, 0)
+	res, err := Evolve(context.Background(), g, cfg, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Generations != 0 || res.Restarts != 2 {
 		t.Fatalf("unexpected bookkeeping: %+v", res)
 	}
 	if res.Cut <= 0 {
 		t.Fatal("no cut measured")
+	}
+}
+
+// TestExtensionsRejectInvalidInput checks the error contract of Evolve and
+// RefineExisting: an invalid configuration and a block vector of the wrong
+// length (or with block ids outside [0, K)) come back as ErrInvalidConfig
+// instead of panicking.
+func TestExtensionsRejectInvalidInput(t *testing.T) {
+	g := gen.Grid2D(8, 8)
+	ctx := context.Background()
+	bad := NewConfig(Fast, 0)
+	good := NewConfig(Fast, 2)
+	blocks := make([]int32, g.NumNodes())
+
+	if _, err := Evolve(ctx, g, bad, 2, 1); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("Evolve K=0: got %v, want ErrInvalidConfig", err)
+	}
+	if _, err := Evolve(ctx, nil, good, 2, 1); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("Evolve nil graph: got %v, want ErrInvalidConfig", err)
+	}
+	cases := []struct {
+		name   string
+		cfg    Config
+		blocks []int32
+	}{
+		{"K=0", bad, blocks},
+		{"short blocks", good, blocks[:10]},
+		{"long blocks", good, append(append([]int32(nil), blocks...), 0)},
+		{"block out of range", good, append([]int32{2}, blocks[1:]...)},
+		{"negative block", good, append([]int32{-1}, blocks[1:]...)},
+	}
+	for _, tc := range cases {
+		if _, _, err := RefineExisting(ctx, g, tc.cfg, tc.blocks); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("RefineExisting %s: got %v, want ErrInvalidConfig", tc.name, err)
+		}
 	}
 }

@@ -30,19 +30,6 @@ type Result struct {
 	TotalTime   time.Duration
 }
 
-// Partition runs the full KaPPa pipeline on g. It is the legacy entry point,
-// kept as a thin wrapper over Pipeline.Run: no cancellation, no observers,
-// and — for backward compatibility — a panic on invalid configuration. New
-// code should call Run, which returns errors instead.
-func Partition(g *graph.Graph, cfg Config) Result {
-	res, err := Run(context.Background(), g, cfg)
-	if err != nil {
-		//kappa:allow panicfree documented legacy wrapper contract: panic on invalid config, use Run for errors
-		panic(err)
-	}
-	return res
-}
-
 // sharedLevel performs one contraction level on the shared global graph:
 // parallel (or, with one PE, sequential) matching followed by a global
 // two-pass contraction, both drawing scratch from a. It reports the
@@ -56,12 +43,12 @@ func sharedLevel(cur *graph.Graph, cfg *Config, blocks []int32, pes, level int, 
 		// The prepartition (§3.3) localizes matching work onto PEs; the
 		// strategy does not influence the final partition directly.
 		if cfg.GapMatching {
-			m = matching.ParallelScratch(cur, rt, cfg.Matcher, blocks, pes, cfg.Seed+uint64(level)*101, maxPair, a)
+			m = matching.Parallel(cur, rt, cfg.Matcher, blocks, pes, cfg.Seed+uint64(level)*101, maxPair, a)
 		} else {
 			m = parallelNoGap(cur, rt, cfg.Matcher, blocks, pes, cfg.Seed+uint64(level)*101, maxPair, a)
 		}
 	} else {
-		m = matching.ComputeScratch(cur, rt, cfg.Matcher, rng.NewStream(cfg.Seed, uint64(level)), maxPair, a)
+		m = matching.Compute(cur, rt, cfg.Matcher, rng.NewStream(cfg.Seed, uint64(level)), maxPair, a)
 	}
 	matchT := time.Since(tm)
 	if m.Size() == 0 {
@@ -82,10 +69,10 @@ func sharedLevel(cur *graph.Graph, cfg *Config, blocks []int32, pes, level int, 
 // and contraction kernel times (extraction counts toward matching, the way
 // the paper accounts the ghost setup). Returns (nil, nil, ...) when the
 // matching comes out empty.
-func distributedLevel(cur *graph.Graph, cfg *Config, blocks []int32, t dist.Transport, pes, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration) {
+func distributedLevel(cur *graph.Graph, cfg *Config, blocks []int32, t dist.Transport, pes, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
 	tm := time.Now()
 	sgs := dist.ExtractAll(cur, blocks, pes)
-	ms := matching.DistributedBounded(sgs, t, cfg.Rating, cfg.Matcher,
+	ms := matching.Distributed(sgs, t, cfg.Rating, cfg.Matcher,
 		cfg.Seed+uint64(level)*101, maxPair, cfg.GapMatching)
 	matchT := time.Since(tm)
 	matched := false
@@ -96,11 +83,11 @@ func distributedLevel(cur *graph.Graph, cfg *Config, blocks []int32, t dist.Tran
 		}
 	}
 	if !matched {
-		return nil, nil, matchT, 0
+		return nil, nil, matchT, 0, nil
 	}
 	tc := time.Now()
-	cg, f2c := coarsen.ContractDistributed(cur, sgs, ms, t)
-	return cg, f2c, matchT, time.Since(tc)
+	cg, f2c, err := coarsen.ContractDistributed(cur, sgs, ms, t)
+	return cg, f2c, matchT, time.Since(tc), err
 }
 
 // parallelNoGap is the ablation variant of parallel matching: local
@@ -110,7 +97,7 @@ func parallelNoGap(g *graph.Graph, rt *rating.Rater, alg matching.Algorithm, blo
 	// matcher with an empty gap phase: equivalent to giving every cross
 	// edge a rating below any local match. We reuse Parallel but strip
 	// cross-block pairs afterwards (they can only come from the gap phase).
-	m := matching.ParallelScratch(g, rt, alg, blocks, pes, seed, maxPair, a)
+	m := matching.Parallel(g, rt, alg, blocks, pes, seed, maxPair, a)
 	for v := int32(0); v < int32(g.NumNodes()); v++ {
 		if u := m[v]; u >= 0 && blocks[u] != blocks[v] {
 			m[v], m[u] = -1, -1
@@ -170,7 +157,7 @@ func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed 
 					base := cfg.Seed ^ levelSeed<<32 ^ uint64(global)<<16 ^ uint64(round)<<8 ^ uint64(a)<<24 ^ uint64(b)
 					var gain int64
 					for li := 0; li < cfg.LocalIter; li++ {
-						out := refine.RefinePairViewWS(ws, p, view, a, b, cfg2,
+						out := refine.RefinePair(ws, p, view, a, b, cfg2,
 							splitSeed(base, uint64(2*li)), splitSeed(base, uint64(2*li+1)))
 						gain += out.Gain
 						if out.Gain <= 0 {

@@ -38,20 +38,6 @@ type Coarsener interface {
 	Coarsen(ctx context.Context, g *graph.Graph, cfg *Config, env *Env) (*coarsen.Hierarchy, error)
 }
 
-// InitialPartitioner partitions the coarsest graph (§4). The default runs
-// the sequential initial partitioner cfg.InitRepeats times concurrently and
-// adopts the best result.
-type InitialPartitioner interface {
-	InitialPartition(ctx context.Context, g *graph.Graph, cfg *Config, env *Env) (blocks []int32, cut int64, err error)
-}
-
-// Refiner lifts the initial partition through the hierarchy and improves it
-// (§5). The default runs parallel pairwise FM scheduled by an edge coloring
-// of the quotient graph and emits one RefineEvent per global iteration.
-type Refiner interface {
-	Refine(ctx context.Context, h *coarsen.Hierarchy, initial []int32, cfg *Config, env *Env) (*part.Partition, error)
-}
-
 // Env is what the Pipeline hands every stage besides the graph and config:
 // the cross-stage collaborators (node distributor, message transport, the
 // run's scratch arena) and the trace sink.
@@ -101,21 +87,20 @@ func (e *Env) transportFor(pes int) dist.Transport {
 	return dist.Metered(t, e.stats)
 }
 
-// Pipeline is the composable KaPPa runner: four pluggable stages, an
-// optional Transport for the distributed contraction phase, and optional
-// Observers for typed progress events. The zero value runs the paper's
-// pipeline; NewPipeline applies functional options on top of the defaults.
+// Pipeline is the KaPPa runner: contraction (§3) through a replaceable
+// Distributor and Coarsener, then initial partitioning (§4) and pairwise
+// refinement (§5), with an optional Transport for the distributed
+// contraction phase and optional Observers for typed progress events. The
+// zero value runs the paper's pipeline; NewPipeline applies functional
+// options on top of the defaults.
 //
 // Error contract: Run returns ErrInvalidConfig-wrapped errors for bad input,
 // the context's error (matching errors.Is(err, context.Canceled) or
 // context.DeadlineExceeded) when cancelled, and never panics on user input.
-// A fixed Config.Seed makes Run byte-deterministic — and byte-identical to
-// the legacy Partition wrapper.
+// A fixed Config.Seed makes Run byte-deterministic.
 type Pipeline struct {
 	Distributor Distributor
 	Coarsener   Coarsener
-	Initial     InitialPartitioner
-	Refiner     Refiner
 	Transport   dist.Transport
 	Observers   []Observer
 	// Stats, when non-nil, receives per-PE transport counters from every
@@ -172,16 +157,6 @@ func WithDistributor(d Distributor) Option {
 // WithCoarsener replaces the contraction stage.
 func WithCoarsener(c Coarsener) Option {
 	return func(p *Pipeline) { p.Coarsener = c }
-}
-
-// WithInitialPartitioner replaces the initial partitioning stage.
-func WithInitialPartitioner(ip InitialPartitioner) Option {
-	return func(p *Pipeline) { p.Initial = ip }
-}
-
-// WithRefiner replaces the refinement stage.
-func WithRefiner(r Refiner) Option {
-	return func(p *Pipeline) { p.Refiner = r }
 }
 
 // NewPipeline returns a Pipeline with the paper's default stages and the
@@ -242,14 +217,6 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 	if coarsener == nil {
 		coarsener = matchingCoarsener{}
 	}
-	initial := pl.Initial
-	if initial == nil {
-		initial = repeatInitialPartitioner{}
-	}
-	refiner := pl.Refiner
-	if refiner == nil {
-		refiner = pairwiseRefiner{}
-	}
 
 	start := time.Now()
 
@@ -277,12 +244,9 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 	}
 	var block []int32
 	var cut int64
-	pprof.Do(ctx, pprof.Labels("stage", PhaseInit.String()), func(ctx context.Context) {
-		block, cut, err = initial.InitialPartition(ctx, h.Coarsest, &cfg, env)
+	pprof.Do(ctx, pprof.Labels("stage", PhaseInit.String()), func(context.Context) {
+		block, cut = initialPartition(h.Coarsest, &cfg)
 	})
-	if err != nil {
-		return Result{}, fmt.Errorf("core: initial partitioning: %w", err)
-	}
 	initTime := time.Since(ti)
 	env.Emit(InitEvent{Cut: cut, Time: initTime})
 	env.Emit(PhaseEvent{PhaseInit, initTime})
@@ -291,7 +255,7 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 	tr := time.Now()
 	var p *part.Partition
 	pprof.Do(ctx, pprof.Labels("stage", PhaseRefine.String()), func(ctx context.Context) {
-		p, err = refiner.Refine(ctx, h, block, &cfg, env)
+		p, err = refineHierarchy(ctx, h, block, &cfg, env)
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("core: refinement: %w", err)
@@ -413,36 +377,20 @@ type matchingCoarsener struct{}
 func (matchingCoarsener) Coarsen(ctx context.Context, g *graph.Graph, cfg *Config, env *Env) (*coarsen.Hierarchy, error) {
 	pes := cfg.NumPEs()
 	return CoarsenWith(ctx, g, cfg, env, func(ctx context.Context, cur *graph.Graph, cfg *Config, blocks []int32, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
-		var cg *graph.Graph
-		var f2c []int32
-		var matchT, contractT time.Duration
 		if pes > 1 && cfg.Coarsen == CoarsenDistributed {
-			cg, f2c, matchT, contractT = distributedLevel(cur, cfg, blocks, env.transportFor(pes), pes, level, maxPair)
-		} else {
-			cg, f2c, matchT, contractT = sharedLevel(cur, cfg, blocks, pes, level, maxPair, env.Arena)
+			return distributedLevel(cur, cfg, blocks, env.transportFor(pes), pes, level, maxPair)
 		}
+		cg, f2c, matchT, contractT := sharedLevel(cur, cfg, blocks, pes, level, maxPair, env.Arena)
 		return cg, f2c, matchT, contractT, nil
 	})
 }
 
-// repeatInitialPartitioner is the default InitialPartitioner: cfg.InitRepeats
-// concurrent seeded runs of the sequential partitioner, best result adopted.
-type repeatInitialPartitioner struct{}
-
-func (repeatInitialPartitioner) InitialPartition(ctx context.Context, g *graph.Graph, cfg *Config, env *Env) ([]int32, int64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	block, cut := initialPartition(g, cfg)
-	return block, cut, nil
-}
-
-// pairwiseRefiner is the default Refiner: the nested refinement loops of §5
-// on every level, coarsest to finest, followed by a rebalancing pass when
-// the projected partition violates the balance constraint.
-type pairwiseRefiner struct{}
-
-func (pairwiseRefiner) Refine(ctx context.Context, h *coarsen.Hierarchy, initial []int32, cfg *Config, env *Env) (*part.Partition, error) {
+// refineHierarchy lifts the initial partition through the hierarchy and
+// improves it (§5): the nested refinement loops on every level, coarsest to
+// finest, followed by a rebalancing pass when the projected partition
+// violates the balance constraint. It emits one RefineEvent per global
+// iteration.
+func refineHierarchy(ctx context.Context, h *coarsen.Hierarchy, initial []int32, cfg *Config, env *Env) (*part.Partition, error) {
 	p := part.FromBlocks(h.Coarsest, cfg.K, cfg.Eps, initial)
 	if err := refineLevel(ctx, p, cfg, 0, 0, env); err != nil {
 		return nil, err
@@ -451,8 +399,8 @@ func (pairwiseRefiner) Refine(ctx context.Context, h *coarsen.Hierarchy, initial
 	// block array is recycled once the next-finer projection has read it.
 	// Only the finest level allocates fresh — its block array escapes into
 	// the Result while the arena lives on for the next run. The coarsest
-	// block array is never recycled: it belongs to the InitialPartitioner
-	// (whose interface makes no ownership promise), not to this stage.
+	// block array is never recycled: it belongs to the initial partitioner,
+	// not to this stage.
 	borrowed := false
 	for li := h.Depth() - 1; li >= 0; li-- {
 		fine := h.Levels[li].Fine

@@ -38,31 +38,6 @@ func TestRunInvalidConfig(t *testing.T) {
 	}
 }
 
-// TestRunMatchesPartition checks that the pipeline entry point is
-// byte-identical to the legacy wrapper for a fixed seed, in both coarsening
-// modes.
-func TestRunMatchesPartition(t *testing.T) {
-	g := gen.RGG(11, 6)
-	for _, mode := range []CoarsenMode{CoarsenShared, CoarsenDistributed} {
-		cfg := NewConfig(Fast, 8)
-		cfg.Seed = 77
-		cfg.Coarsen = mode
-		legacy := Partition(g, cfg)
-		res, err := Run(context.Background(), g, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if res.Cut != legacy.Cut {
-			t.Fatalf("%v: Run cut %d != Partition cut %d", mode, res.Cut, legacy.Cut)
-		}
-		for v := range legacy.Blocks {
-			if res.Blocks[v] != legacy.Blocks[v] {
-				t.Fatalf("%v: block of node %d differs", mode, v)
-			}
-		}
-	}
-}
-
 // TestRunCancelDuringCoarsening cancels the context from an observer as soon
 // as the first contraction level lands and expects Run to abort promptly —
 // before initial partitioning — with ctx.Err().
@@ -218,7 +193,8 @@ func TestRunTransportPEMismatch(t *testing.T) {
 	}
 }
 
-// TestRefineExistingCtxCancelled checks the ctx-aware refinement wrapper.
+// TestRefineExistingCtxCancelled checks that RefineExisting honors a
+// cancelled context.
 func TestRefineExistingCtxCancelled(t *testing.T) {
 	g := gen.Grid2D(24, 24)
 	cfg := NewConfig(Fast, 4)
@@ -228,10 +204,10 @@ func TestRefineExistingCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := RefineExistingCtx(ctx, g, cfg, blocks); !errors.Is(err, context.Canceled) {
+	if _, _, err := RefineExisting(ctx, g, cfg, blocks); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	if _, _, err := RefineExistingCtx(context.Background(), g, cfg, blocks[:10]); !errors.Is(err, ErrInvalidConfig) {
+	if _, _, err := RefineExisting(context.Background(), g, cfg, blocks[:10]); !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("short blocks: got %v, want ErrInvalidConfig", err)
 	}
 }

@@ -11,7 +11,7 @@
 //   - IndexRanges / WeightedRanges — contiguous index ranges, the fallback of
 //     §3.3 when no geometry is available. Zero-cost, balance is exact, but
 //     edge locality is whatever the input numbering happens to provide.
-//   - RCB / RCBWeighted — recursive coordinate bisection over node
+//   - RCB — recursive coordinate bisection over node
 //     coordinates, the paper's choice for geometric instances (rgg, Delaunay,
 //     street networks): recursively split the longest axis at the weighted
 //     median. Handles non-power-of-two PE counts by splitting PE groups
@@ -22,7 +22,7 @@
 //     bisection level, locality close to RCB on mesh-like inputs.
 //
 // Strategy and Assign select between them; EdgeLocality and Imbalance make
-// the strategies comparable; Extract materializes each PE's local subgraph
+// the strategies comparable; ExtractAll materializes each PE's local subgraph
 // plus its ghost (halo) layer with local↔global ID maps; and Exchanger is
 // the channel-backed bulk-synchronous message layer (one mailbox per PE)
 // over which the PEs trade ghost-node state during distributed coarsening —
@@ -100,16 +100,16 @@ func Assign(g *graph.Graph, s Strategy, pes int) []int32 {
 	case StrategyRCB, StrategyAuto:
 		if g.HasCoords() {
 			// All available dimensions: real 3D bisection for 3D inputs.
-			return RCBWeightedDims(g.CoordSlices(), nodeWeights(g), pes)
+			return RCB(g.CoordSlices(), nodeWeights(g), pes)
 		}
 	case StrategySFC:
 		if g.CoordDims() == 3 {
 			x, y, z := g.Coords3()
-			return Hilbert3DWeighted(x, y, z, nodeWeights(g), pes)
+			return Hilbert3D(x, y, z, nodeWeights(g), pes)
 		}
 		if g.HasCoords() {
 			x, y := g.Coords()
-			return HilbertWeighted(x, y, nodeWeights(g), pes)
+			return Hilbert(x, y, nodeWeights(g), pes)
 		}
 	}
 	return WeightedRanges(nodeWeights(g), pes)

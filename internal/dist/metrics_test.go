@@ -74,7 +74,7 @@ func TestImbalanceMatchesBlockWeights(t *testing.T) {
 	g := gen.RGG(10, 7)
 	x, y := g.Coords()
 	pes := 6
-	assign := RCB(x, y, pes)
+	assign := RCB([][]float64{x, y}, nil, pes)
 	weights := BlockWeights(g, assign, pes)
 	var total, max int64
 	for _, w := range weights {

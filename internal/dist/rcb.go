@@ -2,20 +2,8 @@ package dist
 
 import "sort"
 
-// RCB distributes nodes with 2D coordinates over pes PEs by recursive
-// coordinate bisection with unit node weights; see RCBWeighted.
-func RCB(x, y []float64, pes int) []int32 {
-	return RCBWeighted(x, y, nil, pes)
-}
-
-// RCBWeighted is recursive coordinate bisection over 2D coordinates; see
-// RCBWeightedDims for the algorithm.
-func RCBWeighted(x, y []float64, w []int64, pes int) []int32 {
-	return RCBWeightedDims([][]float64{x, y}, w, pes)
-}
-
-// RCBWeightedDims is recursive coordinate bisection (§3.3) over any number
-// of coordinate dimensions: the current node set is split at the weighted
+// RCB is recursive coordinate bisection (§3.3) over any number of
+// coordinate dimensions: the current node set is split at the weighted
 // median of its widest dimension (the one with the largest extent; the
 // lowest dimension index wins ties), the two halves recurse on the two
 // halves of the PE group. Non-power-of-two PE counts are handled by
@@ -26,9 +14,9 @@ func RCBWeighted(x, y []float64, w []int64, pes int) []int32 {
 // get real geometric bisection instead of an index-range fallback.
 //
 //kappa:invariant the distributor only selects RCB for graphs that carry coordinates
-func RCBWeightedDims(dims [][]float64, w []int64, pes int) []int32 {
+func RCB(dims [][]float64, w []int64, pes int) []int32 {
 	if len(dims) == 0 {
-		panic("dist: RCBWeightedDims needs at least one coordinate dimension")
+		panic("dist: RCB needs at least one coordinate dimension")
 	}
 	n := len(dims[0])
 	assign := make([]int32, n)

@@ -6,19 +6,13 @@ import "sort"
 // are snapped to a 2^sfcOrder × 2^sfcOrder grid, giving 32-bit curve keys.
 const sfcOrder = 16
 
-// Hilbert distributes nodes with 2D coordinates over pes PEs by Hilbert
-// space-filling-curve ordering with unit node weights; see HilbertWeighted.
-func Hilbert(x, y []float64, pes int) []int32 {
-	return HilbertWeighted(x, y, nil, pes)
-}
-
-// HilbertWeighted sorts the nodes by their position along a Hilbert curve
+// Hilbert sorts the nodes by their position along a Hilbert curve
 // through the bounding box and cuts the sorted order into pes node-weight
 // balanced ranges. Compared to RCB this needs a single sort instead of one
 // per bisection level, and the curve's locality keeps most mesh edges inside
 // a range; it is the "cheap geometric" alternative to §3.3's RCB. w == nil
 // means unit weights. Deterministic: key ties break by node id.
-func HilbertWeighted(x, y []float64, w []int64, pes int) []int32 {
+func Hilbert(x, y []float64, w []int64, pes int) []int32 {
 	return sfcAssign(x, y, w, pes, hilbertKey)
 }
 

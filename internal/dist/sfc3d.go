@@ -6,18 +6,13 @@ import "sort"
 // axis give 48-bit curve keys, comfortably inside uint64.
 const sfcOrder3D = 16
 
-// Hilbert3DWeighted sorts nodes with 3D coordinates by their position along a
-// 3D Hilbert curve through the bounding box and cuts the order into pes
-// node-weight balanced ranges — the 3D counterpart of HilbertWeighted, closing
-// the gap where 3D inputs used to be ordered by their x/y projection. w == nil
+// Hilbert3D sorts nodes with 3D coordinates by their position along a 3D
+// Hilbert curve through the bounding box and cuts the order into pes
+// node-weight balanced ranges — the 3D counterpart of Hilbert, closing the
+// gap where 3D inputs used to be ordered by their x/y projection. w == nil
 // means unit weights. Deterministic: key ties break by node id.
-func Hilbert3DWeighted(x, y, z []float64, w []int64, pes int) []int32 {
+func Hilbert3D(x, y, z []float64, w []int64, pes int) []int32 {
 	return sfcAssign3(x, y, z, w, pes, hilbert3DKey)
-}
-
-// Hilbert3D is Hilbert3DWeighted with unit node weights.
-func Hilbert3D(x, y, z []float64, pes int) []int32 {
-	return Hilbert3DWeighted(x, y, z, nil, pes)
 }
 
 // Morton3D orders by 3D Morton (Z-order) keys: cheaper per node than the

@@ -78,9 +78,9 @@ func TestHilbert3DLocality(t *testing.T) {
 		{"grid3d-tall", gen.Grid3D(6, 6, 96), 7},
 	} {
 		x, y, z := tc.g.Coords3()
-		hil := Hilbert3D(x, y, z, tc.pes)
+		hil := Hilbert3D(x, y, z, nil, tc.pes)
 		mor := Morton3D(x, y, z, tc.pes)
-		proj := Hilbert(x, y, tc.pes)
+		proj := Hilbert(x, y, nil, tc.pes)
 		lh := EdgeLocality(tc.g, hil)
 		lm := EdgeLocality(tc.g, mor)
 		lp := EdgeLocality(tc.g, proj)
@@ -102,11 +102,11 @@ func TestHilbert3DLocality(t *testing.T) {
 func TestAssignUses3DHilbert(t *testing.T) {
 	g := gen.Grid3D(8, 8, 8)
 	x, y, z := g.Coords3()
-	want := Hilbert3DWeighted(x, y, z, nodeWeights(g), 4)
+	want := Hilbert3D(x, y, z, nodeWeights(g), 4)
 	got := Assign(g, StrategySFC, 4)
 	for v := range want {
 		if got[v] != want[v] {
-			t.Fatalf("Assign(SFC) diverges from Hilbert3DWeighted at node %d", v)
+			t.Fatalf("Assign(SFC) diverges from Hilbert3D at node %d", v)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func TestSFCBeatsIndexRangesOnGrid(t *testing.T) {
 	g := gen.Grid2D(64, 64)
 	x, y := g.Coords()
 	for _, pes := range []int{4, 7, 8, 16} {
-		sfc := Hilbert(x, y, pes)
+		sfc := Hilbert(x, y, nil, pes)
 		rng := IndexRanges(g.NumNodes(), pes)
 		ls, lr := EdgeLocality(g, sfc), EdgeLocality(g, rng)
 		if ls <= lr {
@@ -67,8 +67,8 @@ func TestSFCComparableToRCBOnRGG(t *testing.T) {
 	g := gen.RGG(12, 99)
 	x, y := g.Coords()
 	pes := 8
-	lsfc := EdgeLocality(g, Hilbert(x, y, pes))
-	lrcb := EdgeLocality(g, RCB(x, y, pes))
+	lsfc := EdgeLocality(g, Hilbert(x, y, nil, pes))
+	lrcb := EdgeLocality(g, RCB([][]float64{x, y}, nil, pes))
 	if lsfc < 0.8*lrcb {
 		t.Errorf("Hilbert locality %.3f far below RCB %.3f", lsfc, lrcb)
 	}
@@ -94,7 +94,7 @@ func TestMortonBalanced(t *testing.T) {
 
 func TestSFCDeterministicAndDegenerate(t *testing.T) {
 	x, y := randomPoints(1000, 3)
-	a, b := Hilbert(x, y, 6), Hilbert(x, y, 6)
+	a, b := Hilbert(x, y, nil, 6), Hilbert(x, y, nil, 6)
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatalf("Hilbert not deterministic at node %d", v)
@@ -106,7 +106,7 @@ func TestSFCDeterministicAndDegenerate(t *testing.T) {
 		line[i] = float64(i)
 	}
 	flat := make([]float64, 200)
-	assign := Hilbert(line, flat, 4)
+	assign := Hilbert(line, flat, nil, 4)
 	checkAssignment(t, assign, 200, 4)
 	counts := make([]int, 4)
 	for _, pe := range assign {

@@ -106,33 +106,16 @@ func (s *Subgraph) BoundaryPeers() [][]int32 {
 	return peers
 }
 
-// Extract builds PE pe's local subgraph from the global graph and a
-// node-to-PE assignment. All edges incident to an owned node are kept —
-// owned–owned edges once, owned–ghost edges once — so cut edges appear in
-// the subgraphs of both endpoint owners.
-func Extract(g *graph.Graph, assign []int32, pe int32) *Subgraph {
-	var owned []int32
-	for v := int32(0); v < int32(g.NumNodes()); v++ {
-		if assign[v] == pe {
-			owned = append(owned, v)
-		}
-	}
-	return extractOwned(g, assign, pe, owned)
-}
-
-// ExtractOwned is Extract with the PE's owned-node list precomputed (in
-// ascending global id order, as one bucketing pass over assign produces
-// it). It lets a caller that extracts many PEs sequentially — the shard
-// store writer, which bounds how many subgraphs are alive at once — pay
-// the O(n) ownership scan once instead of once per PE, while producing
-// bytes identical to Extract and ExtractAll.
+// ExtractOwned builds PE pe's local subgraph from the global graph, a
+// node-to-PE assignment and the PE's owned-node list (in ascending global id
+// order, as one bucketing pass over assign produces it). All edges incident
+// to an owned node are kept — owned–owned edges once, owned–ghost edges once
+// — so cut edges appear in the subgraphs of both endpoint owners. Taking the
+// owned list lets a caller that extracts many PEs sequentially — the shard
+// store writer, which bounds how many subgraphs are alive at once — pay the
+// O(n) ownership scan once instead of once per PE, while producing bytes
+// identical to ExtractAll.
 func ExtractOwned(g *graph.Graph, assign []int32, pe int32, owned []int32) *Subgraph {
-	return extractOwned(g, assign, pe, owned)
-}
-
-// extractOwned builds the subgraph from a precomputed owned-node list (in
-// ascending global id order).
-func extractOwned(g *graph.Graph, assign []int32, pe int32, owned []int32) *Subgraph {
 	s := &Subgraph{PE: pe, globalToLocal: make(map[int32]int32, len(owned))}
 
 	// Owned nodes first, in global id order for determinism.
@@ -203,7 +186,7 @@ func ExtractAll(g *graph.Graph, assign []int32, pes int) []*Subgraph {
 		wg.Add(1)
 		go func(pe int) {
 			defer wg.Done()
-			out[pe] = extractOwned(g, assign, int32(pe), ownedOf[pe])
+			out[pe] = ExtractOwned(g, assign, int32(pe), ownedOf[pe])
 		}(pe)
 	}
 	wg.Wait()

@@ -49,7 +49,7 @@ func TestExtractEdgeConservation(t *testing.T) {
 	g := gen.RGG(10, 5)
 	pes := 5
 	x, y := g.Coords()
-	assign := RCB(x, y, pes)
+	assign := RCB([][]float64{x, y}, nil, pes)
 	internal := g.NumEdges() - int(countCut(g, assign))
 	cut := int(countCut(g, assign))
 

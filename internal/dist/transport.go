@@ -3,7 +3,7 @@ package dist
 import "sync"
 
 // Transport is the message-passing seam of distributed coarsening: the
-// bulk-synchronous superstep operations that matching.DistributedBounded and
+// bulk-synchronous superstep operations that matching.Distributed and
 // coarsen.ContractDistributed are written against. Every PE participating in
 // a superstep calls Exchange exactly once; the call doubles as a barrier and
 // returns the PE's inbox ordered by sender PE with each sender's messages in

@@ -215,7 +215,7 @@ func multilevelBisect(g *graph.Graph, targetA int64, eps float64, params engineP
 	}
 	for h.Coarsest.NumNodes() > coarseEnough {
 		rt := rating.NewRater(params.rate, h.Coarsest)
-		m := matching.ComputeBounded(h.Coarsest, rt, params.matcher, r, maxPair)
+		m := matching.Compute(h.Coarsest, rt, params.matcher, r, maxPair, nil)
 		if m.Size() == 0 {
 			break
 		}
@@ -254,8 +254,9 @@ func refineBisection(g *graph.Graph, block []int32, targetA int64, eps float64, 
 	}
 	p.SetLmax(int64((1+eps)*float64(maxTarget)) + g.MaxNodeWeight())
 	cfg := refine.TwoWayConfig{Strategy: params.fmStrategy, Patience: params.fmPatience, BandDepth: 1 << 30}
+	ws := refine.NewWorkspace()
 	for pass := 0; pass < params.fmPasses; pass++ {
-		out := refine.RefinePair(p, 0, 1, cfg, r.Uint64(), r.Uint64())
+		out := refine.RefinePair(ws, p, p.Block, 0, 1, cfg, r.Uint64(), r.Uint64())
 		if out.Gain <= 0 && pass > 0 {
 			break
 		}

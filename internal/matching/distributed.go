@@ -23,20 +23,16 @@ import (
 // GlobalFromSubgraphs to merge the per-PE matchings into a matching of the
 // global graph.
 //
+// maxPair bounds the combined node weight of a matched pair (0 = unbounded;
+// see Compute). With boundary false the PEs match only their internal edges
+// (the distributed counterpart of the no-gap-matching ablation) but still
+// participate in the termination votes so the superstep counts stay aligned.
+//
 // Every randomized choice draws from an rng stream derived from (seed, PE)
 // and every cross-PE message sequence is schedule-independent, so the result
 // is byte-identical across runs — and across GOMAXPROCS settings — for a
 // fixed seed.
-func Distributed(sgs []*dist.Subgraph, ex dist.Transport, rf rating.Func, alg Algorithm, seed uint64) []Matching {
-	return DistributedBounded(sgs, ex, rf, alg, seed, 0, true)
-}
-
-// DistributedBounded is Distributed with a maximum combined node weight per
-// matched pair (0 = unbounded) and an optional boundary phase: with boundary
-// false the PEs match only their internal edges (the distributed counterpart
-// of the no-gap-matching ablation) but still participate in the termination
-// votes so the superstep counts stay aligned.
-func DistributedBounded(sgs []*dist.Subgraph, ex dist.Transport, rf rating.Func, alg Algorithm, seed uint64, maxPair int64, boundary bool) []Matching {
+func Distributed(sgs []*dist.Subgraph, ex dist.Transport, rf rating.Func, alg Algorithm, seed uint64, maxPair int64, boundary bool) []Matching {
 	pes := len(sgs)
 	out := make([]Matching, pes)
 	var wg sync.WaitGroup
@@ -51,7 +47,7 @@ func DistributedBounded(sgs []*dist.Subgraph, ex dist.Transport, rf rating.Func,
 	return out
 }
 
-// MatchSubgraph is the per-PE side of DistributedBounded: the superstep
+// MatchSubgraph is the per-PE side of Distributed: the superstep
 // sequence ONE processing element executes against its own subgraph shard.
 // In-process runs spawn it per PE over a shared Transport; an out-of-process
 // worker (kappa worker) calls it directly with its shard and a

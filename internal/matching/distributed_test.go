@@ -15,7 +15,7 @@ func runDistributed(t *testing.T, g *graph.Graph, assign []int32, pes int, rf ra
 	t.Helper()
 	sgs := dist.ExtractAll(g, assign, pes)
 	ex := dist.NewExchanger(pes)
-	ms := DistributedBounded(sgs, ex, rf, alg, seed, maxPair, boundary)
+	ms := Distributed(sgs, ex, rf, alg, seed, maxPair, boundary)
 	gm := GlobalFromSubgraphs(g.NumNodes(), sgs, ms)
 	if err := gm.Validate(g); err != nil {
 		t.Fatalf("distributed matching invalid: %v", err)

@@ -18,27 +18,19 @@ import (
 // (Manne–Bisseling style). When a gap edge wins, the local matches of its
 // endpoints are dissolved.
 //
+// maxPair bounds the combined node weight of a matched pair (0 =
+// unbounded; see Compute). Every temporary — the per-block node groups,
+// candidate and gap edge arrays, local-rating table, and the returned
+// matching itself — comes from a (nil = allocate fresh). The caller owns the
+// result; hand it back with a.PutInt32([]int32(m)) when done. The arena is
+// safe to share between the concurrent per-block workers.
+//
 // The result is a valid matching of g. With nparts == 1 the function is
 // equivalent to Compute.
-func Parallel(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []int32, nparts int, seed uint64) Matching {
-	return ParallelBounded(g, rt, alg, block, nparts, seed, 0)
-}
-
-// ParallelBounded is Parallel with a maximum combined node weight per
-// matched pair (0 = unbounded); see ComputeBounded.
-func ParallelBounded(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []int32, nparts int, seed uint64, maxPair int64) Matching {
-	return ParallelScratch(g, rt, alg, block, nparts, seed, maxPair, nil)
-}
-
-// ParallelScratch is ParallelBounded drawing every temporary — the per-block
-// node groups, candidate and gap edge arrays, local-rating table, and the
-// returned matching itself — from a (nil = allocate fresh). The caller owns
-// the result; hand it back with a.PutInt32([]int32(m)) when done. The arena
-// is safe to share between the concurrent per-block workers.
-func ParallelScratch(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []int32, nparts int, seed uint64, maxPair int64, a *mem.Arena) Matching {
+func Parallel(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []int32, nparts int, seed uint64, maxPair int64, a *mem.Arena) Matching {
 	n := g.NumNodes()
 	if nparts <= 1 {
-		return ComputeScratch(g, rt, alg, rng.NewStream(seed, 0), maxPair, a)
+		return Compute(g, rt, alg, rng.NewStream(seed, 0), maxPair, a)
 	}
 	m := newEmptyIn(a, n)
 

@@ -49,32 +49,6 @@ func (p *Partition) Quotient() []QEdge {
 	return edges
 }
 
-// GreedyColoring assigns each quotient edge the smallest color not yet used
-// at either endpoint, scanning edges in the given order. It returns the
-// per-edge colors and the number of colors used, which is at most 2Δ−1 for
-// maximum quotient degree Δ.
-func GreedyColoring(k int, edges []QEdge) ([]int, int) {
-	used := make([]map[int]bool, k)
-	for i := range used {
-		used[i] = make(map[int]bool)
-	}
-	colors := make([]int, len(edges))
-	maxColor := 0
-	for i, e := range edges {
-		c := 0
-		for used[e.A][c] || used[e.B][c] {
-			c++
-		}
-		colors[i] = c
-		used[e.A][c] = true
-		used[e.B][c] = true
-		if c+1 > maxColor {
-			maxColor = c + 1
-		}
-	}
-	return colors, maxColor
-}
-
 // DistributedColoring runs the parallel randomized edge-coloring algorithm
 // of §5.1: every PE (block) keeps a free-color list; in each round PEs flip
 // an active/passive coin; an active PE picks a random uncolored incident

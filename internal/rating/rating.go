@@ -29,10 +29,6 @@ const (
 	InnerOuter
 )
 
-// All lists every rating function; the Walshaw-benchmark runs of §6.3 try
-// InnerOuter, ExpansionStar and ExpansionStar2 in turn.
-var All = []Func{Weight, Expansion, ExpansionStar, ExpansionStar2, InnerOuter}
-
 // String returns the paper's name for the rating.
 func (f Func) String() string {
 	switch f {

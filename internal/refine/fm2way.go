@@ -7,7 +7,7 @@
 // Pair searches run against a Workspace holding the band arrays and the two
 // gain queues; reusing one Workspace across the pairs, levels and global
 // iterations a goroutine processes makes the inner loop allocation-free
-// (see RefinePairViewWS). Results are byte-identical with fresh and reused
+// (see RefinePair). Results are byte-identical with fresh and reused
 // workspaces.
 package refine
 
@@ -460,24 +460,18 @@ type RefinePairOutcome struct {
 // RefinePair refines the partition between blocks a and b with two
 // independently seeded FM searches, adopting the better result (§5). It
 // mutates p only by applying the winning move prefix.
-func RefinePair(p *part.Partition, a, b int32, cfg TwoWayConfig, seedA, seedB uint64) RefinePairOutcome {
-	return RefinePairView(p, p.Block, a, b, cfg, seedA, seedB)
-}
-
-// RefinePairView is RefinePair with an explicit block-membership view for
-// reads. During parallel refinement, disjoint pairs run concurrently; each
-// goroutine passes a snapshot of the block array taken before the round so
-// that reads of *foreign* blocks never race with other pairs' writes. For
-// nodes of blocks a and b the snapshot is exact, because only this pair may
-// move them.
-func RefinePairView(p *part.Partition, view []int32, a, b int32, cfg TwoWayConfig, seedA, seedB uint64) RefinePairOutcome {
-	return RefinePairViewWS(NewWorkspace(), p, view, a, b, cfg, seedA, seedB)
-}
-
-// RefinePairViewWS is RefinePairView running against a reusable Workspace —
-// the allocation-free form the pipeline uses, obtaining workspaces from a
-// per-run pool. The outcome is byte-identical to a fresh workspace.
-func RefinePairViewWS(ws *Workspace, p *part.Partition, view []int32, a, b int32, cfg TwoWayConfig, seedA, seedB uint64) RefinePairOutcome {
+//
+// Reads of block membership go through view. During parallel refinement,
+// disjoint pairs run concurrently; each goroutine passes a snapshot of the
+// block array taken before the round so that reads of *foreign* blocks
+// never race with other pairs' writes. For nodes of blocks a and b the
+// snapshot is exact, because only this pair may move them. A sequential
+// caller passes p.Block.
+//
+// The search runs against the reusable Workspace ws; the pipeline obtains
+// workspaces from a per-run pool. The outcome is byte-identical to a fresh
+// workspace.
+func RefinePair(ws *Workspace, p *part.Partition, view []int32, a, b int32, cfg TwoWayConfig, seedA, seedB uint64) RefinePairOutcome {
 	s := newPairSearch(p, ws, view, a, b, cfg)
 	if len(s.band) == 0 {
 		s.release()

@@ -5,7 +5,7 @@ import "fmt"
 // WorkerError is the typed failure of one worker connection: which worker
 // (by id, which equals its initially assigned PE; -1 when the failure
 // happened before any assignment) and in which protocol phase. The
-// supervision loop in ServeWith treats worker errors as retryable — the
+// supervision loop in Serve treats worker errors as retryable — the
 // worker is declared dead, its shards move, the level re-runs — and only
 // surfaces one when recovery itself is exhausted, so a WorkerError escaping
 // Serve means the system could not reach a healthy configuration.

@@ -53,7 +53,7 @@ func runServeFaulty(t *testing.T, g *graph.Graph, cfg core.Config, so remote.Ser
 			outs[i].res, outs[i].err = remote.WorkWith(ctx, "tcp", addr, wo)
 		}(i, wo)
 	}
-	res, serr := remote.ServeWith(ctx, ln, g, cfg, so)
+	res, serr := remote.Serve(ctx, ln, g, cfg, so)
 	wg.Wait()
 	return res, serr, outs
 }
@@ -286,7 +286,7 @@ func TestServeWorkerDiesMidHandshake(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := remote.ServeWith(context.Background(), ln, gen.RGG(8, 1), cfg,
+		_, err := remote.Serve(context.Background(), ln, gen.RGG(8, 1), cfg,
 			remote.ServeOptions{WorkerTimeout: 250 * time.Millisecond})
 		done <- err
 	}()

@@ -43,7 +43,7 @@ func serveReport(t *testing.T, g *graph.Graph, cfg core.Config) ([]byte, *dist.T
 	stats := dist.NewTransportStats(pes)
 	cfg.Coarsen = core.CoarsenDistributed
 	rep := obs.NewReportObserver(g, cfg)
-	res, err := remote.ServeMetered(ctx, ln, g, cfg, stats, core.WithObserver(rep))
+	res, err := remote.Serve(ctx, ln, g, cfg, remote.ServeOptions{Stats: stats}, core.WithObserver(rep))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ const maxLevelAttempts = 4
 // detected (a dead worker's connection errors) and recovered, but a silently
 // stalled worker blocks forever.
 type ServeOptions struct {
-	// Stats receives the hub's per-worker traffic counts (ServeMetered).
+	// Stats receives the hub's per-worker traffic counts (nil = not counted).
 	Stats *dist.TransportStats
 	// WorkerTimeout bounds every control-frame read (refreshed by worker
 	// heartbeats), every handshake accept, and the hub's intra-superstep
@@ -138,21 +138,12 @@ type coordinator struct {
 //
 // Cancelling ctx closes every connection and the listener, so blocked
 // accepts and superstep reads abort promptly.
-func Serve(ctx context.Context, ln net.Listener, g *graph.Graph, cfg core.Config, opts ...core.Option) (core.Result, error) {
-	return ServeWith(ctx, ln, g, cfg, ServeOptions{}, opts...)
-}
-
-// ServeMetered is Serve with the hub's traffic counted into stats: the
-// coordinator's per-worker view of frames, payload bytes, and routed
-// supersteps, readable while the run is in flight (obs.BindTransport) and
-// afterwards for the run report's transport section. A nil stats is exactly
-// Serve.
-func ServeMetered(ctx context.Context, ln net.Listener, g *graph.Graph, cfg core.Config, stats *dist.TransportStats, opts ...core.Option) (core.Result, error) {
-	return ServeWith(ctx, ln, g, cfg, ServeOptions{Stats: stats}, opts...)
-}
-
-// ServeWith is Serve with explicit fault-tolerance options.
-func ServeWith(ctx context.Context, ln net.Listener, g *graph.Graph, cfg core.Config, so ServeOptions, opts ...core.Option) (core.Result, error) {
+//
+// so carries the fault-tolerance settings and, in so.Stats, the hub's
+// per-worker traffic counters: frames, payload bytes and routed supersteps,
+// readable while the run is in flight (obs.BindTransport) and afterwards for
+// the run report's transport section. The zero ServeOptions is serviceable.
+func Serve(ctx context.Context, ln net.Listener, g *graph.Graph, cfg core.Config, so ServeOptions, opts ...core.Option) (core.Result, error) {
 	return newCoordinator(cfg.NumPEs(), ln, so).serve(ctx, g, cfg, opts...)
 }
 
@@ -593,12 +584,19 @@ func (co *coordinator) remoteLevel(cur *graph.Graph, cfg *core.Config, blocks []
 	if !matched {
 		return nil, nil, matchT, 0, nil
 	}
-	for pe, p := range parts {
-		if p == nil {
-			return nil, nil, 0, 0, fmt.Errorf("remote: PE %d matched but sent no contraction", pe)
+	cg, f2c, err := coarsen.Stitch(cur, parts)
+	if err != nil {
+		// Parts come from the workers: an inconsistent one is that worker's
+		// fault. Declaring its host dead sends the level through the same
+		// reassignment path a crashed worker takes.
+		id := -1
+		var se *coarsen.StitchError
+		if errors.As(err, &se) && se.PE >= 0 {
+			id = co.owner[se.PE]
+			co.markDead(co.workers[id])
 		}
+		return nil, nil, 0, 0, workerErr(id, "result", err)
 	}
-	cg, f2c := coarsen.Stitch(cur, parts)
 	return cg, f2c, matchT, time.Duration(contractNanos), nil
 }
 
@@ -805,7 +803,7 @@ func (co *coordinator) localLevel(cur *graph.Graph, cfg *core.Config, blocks []i
 	}
 	tm := time.Now()
 	sgs := dist.ExtractAll(cur, blocks, co.pes)
-	ms := matching.DistributedBounded(sgs, co.localT, cfg.Rating, cfg.Matcher,
+	ms := matching.Distributed(sgs, co.localT, cfg.Rating, cfg.Matcher,
 		cfg.Seed+uint64(level)*101, maxPair, cfg.GapMatching)
 	matchT := time.Since(tm)
 	matched := false
@@ -819,8 +817,8 @@ func (co *coordinator) localLevel(cur *graph.Graph, cfg *core.Config, blocks []i
 		return nil, nil, matchT, 0, nil
 	}
 	tc := time.Now()
-	cg, f2c := coarsen.ContractDistributed(cur, sgs, ms, co.localT)
-	return cg, f2c, matchT, time.Since(tc), nil
+	cg, f2c, err := coarsen.ContractDistributed(cur, sgs, ms, co.localT)
+	return cg, f2c, matchT, time.Since(tc), err
 }
 
 // armListener sets (or clears, d == 0) the accept deadline on listeners

@@ -139,50 +139,6 @@ func (s *Store) LoadShard(pe int) (*dist.Subgraph, error) {
 	return sg, nil
 }
 
-// LoadShards loads every shard with up to workers concurrent readers
-// (0 = GOMAXPROCS) — the parallel loader: per-shard decode budgets, and at
-// no point a global adjacency; peak memory is the decoded shards the caller
-// asked for plus one file buffer per active reader.
-func (s *Store) LoadShards(workers int) ([]*dist.Subgraph, error) {
-	pes := s.manifest.PEs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > pes {
-		workers = pes
-	}
-	out := make([]*dist.Subgraph, pes)
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	sem := make(chan struct{}, workers)
-	for pe := 0; pe < pes; pe++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(pe int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			sg, err := s.LoadShard(pe)
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			out[pe] = sg
-		}(pe)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
 // Verify audits the store's content integrity: the CSR segment's checksum
 // and every shard's size, checksum, and decoded shape. It reads everything
 // — an offline audit, not something the serve path runs.

@@ -17,11 +17,11 @@
 //	if err != nil { ... }
 //	fmt.Println(res.Cut, res.Balance)
 //
-// Run is the primary entry point: it honors context cancellation, returns
-// errors instead of panicking, and accepts functional options — WithObserver
-// for typed progress events, WithTransport to swap the message-passing
-// backend of distributed coarsening. Partition and PartitionK are the legacy
-// wrappers (background context, panic on invalid configuration).
+// Run is the partitioning entry point: it honors context cancellation,
+// returns errors instead of panicking, and accepts functional options —
+// WithObserver for typed progress events, WithTransport to swap the
+// message-passing backend of distributed coarsening. RefineExisting and
+// Evolve follow the same error contract.
 package repro
 
 import (
@@ -83,11 +83,6 @@ func WriteGraphFile(path string, g *Graph, f GraphFormat) error {
 	return graphio.WriteFile(path, g, f)
 }
 
-// ReadMetis parses a graph in METIS/Chaco format.
-//
-// Deprecated: use ReadGraph with FormatMETIS (or FormatAuto).
-func ReadMetis(r io.Reader) (*Graph, error) { return graphio.ReadMETIS(r) }
-
 // Config carries every tuning parameter of the partitioner (Table 2).
 type Config = core.Config
 
@@ -113,7 +108,7 @@ type Result = core.Result
 // level, and before every global refinement iteration, so cancellation
 // aborts promptly with ctx.Err(); invalid configurations come back as
 // ErrInvalidConfig-wrapped errors instead of panics. For a fixed cfg.Seed
-// the result is byte-identical to the legacy Partition wrapper.
+// the result is byte-identical across runs.
 func Run(ctx context.Context, g *Graph, cfg Config, opts ...Option) (Result, error) {
 	return core.Run(ctx, g, cfg, opts...)
 }
@@ -264,31 +259,13 @@ func NewExchanger(pes int) Transport { return dist.NewExchanger(pes) }
 // pes PEs (same results, different machinery — the drop-in proof).
 func NewLockstepTransport(pes int) Transport { return dist.NewLockstepTransport(pes) }
 
-// Partition runs the full KaPPa pipeline on g. Legacy wrapper over Run:
-// background context, panics on invalid configuration.
-func Partition(g *Graph, cfg Config) Result { return core.Partition(g, cfg) }
-
-// PartitionK partitions g into k blocks with the Fast preset and 3% allowed
-// imbalance — the everyday legacy entry point (see Run for the
-// error-returning API).
-func PartitionK(g *Graph, k int, seed uint64) Result {
-	cfg := core.NewConfig(core.Fast, k)
-	cfg.Seed = seed
-	return core.Partition(g, cfg)
-}
-
 // RefineExisting improves an existing block assignment in place of a full
 // repartition (the repartitioning building block of the paper's future-work
-// section); it returns the refined blocks and their cut.
-func RefineExisting(g *Graph, cfg Config, blocks []int32) ([]int32, int64) {
-	return core.RefineExisting(g, cfg, blocks)
-}
-
-// RefineExistingCtx is RefineExisting under the Run error contract:
-// context-aware, error-returning, with optional observers for the
-// refinement trace events.
-func RefineExistingCtx(ctx context.Context, g *Graph, cfg Config, blocks []int32, opts ...Option) ([]int32, int64, error) {
-	return core.RefineExistingCtx(ctx, g, cfg, blocks, opts...)
+// section); it returns the refined blocks and their cut. It follows the Run
+// error contract: context-aware, error-returning, with optional observers
+// for the refinement trace events.
+func RefineExisting(ctx context.Context, g *Graph, cfg Config, blocks []int32, opts ...Option) ([]int32, int64, error) {
+	return core.RefineExisting(ctx, g, cfg, blocks, opts...)
 }
 
 // EvolveResult reports an evolutionary multistart run.
@@ -297,8 +274,8 @@ type EvolveResult = core.EvolveResult
 // Evolve combines KaPPa with evolutionary multistart search (population of
 // seeded runs, champion re-refinement, restart immigration); the paper
 // expects this regime to beat plain restarts for large k.
-func Evolve(g *Graph, cfg Config, population, generations int) EvolveResult {
-	return core.Evolve(g, cfg, population, generations)
+func Evolve(ctx context.Context, g *Graph, cfg Config, population, generations int) (EvolveResult, error) {
+	return core.Evolve(ctx, g, cfg, population, generations)
 }
 
 // Evaluate recomputes cut, balance and feasibility of a block assignment.
