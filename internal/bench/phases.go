@@ -9,10 +9,10 @@ import (
 
 // PhaseBreakdown prints, per instance and preset, where the wall-clock time
 // of a run goes — coarsening, initial partitioning, refinement — as both
-// absolute averages and fractions of the total. The numbers come from the
-// pipeline's PhaseEvent trace stream (see core.Timings), not from
-// stopwatches around the call, so any custom stage plugged into the
-// Pipeline is accounted the same way.
+// absolute averages and fractions of the total. The numbers are the
+// Result's phase times — the same clock reads the run's PhaseEvents carry —
+// not stopwatches around the call, so every level kernel is accounted the
+// same way.
 func PhaseBreakdown(w io.Writer, o Options) {
 	o = o.defaults()
 	k := o.Ks[0]

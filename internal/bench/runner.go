@@ -27,33 +27,37 @@ type Row struct {
 	AvgRefine  time.Duration
 }
 
-// RunKaPPa runs cfg on g `reps` times with different seeds, collecting
-// timings through a Timings trace observer. The repetitions share one
-// scratch arena, the way a long-lived service would, so only the first rep
-// pays the allocation cost of the working set.
+// RunKaPPa runs cfg on g `reps` times with different seeds and averages the
+// Result's phase times — the same clock reads the run's PhaseEvents carry.
+// The repetitions share one scratch arena, the way a long-lived service
+// would, so only the first rep pays the allocation cost of the working set.
 func RunKaPPa(g *graph.Graph, cfg core.Config, reps int) Row {
 	if reps < 1 {
 		reps = 1
 	}
 	var row Row
 	var totalCut, totalBal float64
-	var tm core.Timings
+	var total, coarsen, init, refine time.Duration
 	arena := mem.NewArena()
 	for i := 0; i < reps; i++ {
 		cfg.Seed = uint64(i)*0x5bd1e995 + 7
-		res := mustRun(g, cfg, core.WithObserver(&tm), core.WithArena(arena))
+		res := mustRun(g, cfg, core.WithArena(arena))
 		totalCut += float64(res.Cut)
 		totalBal += res.Balance
+		total += res.TotalTime
+		coarsen += res.CoarsenTime
+		init += res.InitTime
+		refine += res.RefineTime
 		if i == 0 || res.Cut < row.BestCut {
 			row.BestCut = res.Cut
 		}
 	}
 	row.AvgCut = totalCut / float64(reps)
 	row.AvgBal = totalBal / float64(reps)
-	row.AvgTime = tm.Total / time.Duration(reps)
-	row.AvgCoarsen = tm.Coarsen / time.Duration(reps)
-	row.AvgInit = tm.Init / time.Duration(reps)
-	row.AvgRefine = tm.Refine / time.Duration(reps)
+	row.AvgTime = total / time.Duration(reps)
+	row.AvgCoarsen = coarsen / time.Duration(reps)
+	row.AvgInit = init / time.Duration(reps)
+	row.AvgRefine = refine / time.Duration(reps)
 	return row
 }
 

@@ -4,11 +4,12 @@
 // that partitions can be projected back during uncoarsening.
 //
 // Contract performs the contraction on the shared global graph;
-// ContractDistributed performs it PE-locally — every PE contracts the owned
-// part of its subgraph and the coarse subgraphs are stitched back together
-// through the local↔global id maps and a few ghost-exchange supersteps —
-// producing a coarse graph with exactly the same coarse node groups and edge
-// weights as a shared-memory contraction of the same matching.
+// ContractSubgraph performs one PE's share of it PE-locally — every PE
+// contracts the owned part of its subgraph, and Gather stitches the coarse
+// subgraphs back together through the local↔global id maps after a few
+// ghost-exchange supersteps — producing a coarse graph with exactly the same
+// coarse node groups and edge weights as a shared-memory contraction of the
+// same matching.
 //
 // The shared contraction is the two-pass scheme of §5.2's static-array
 // philosophy: a count pass sizes the coarse CSR exactly (prefix sums become

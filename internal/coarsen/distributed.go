@@ -3,11 +3,12 @@ package coarsen
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/matching"
+	"repro/internal/rating"
 )
 
 // PEContraction is what one PE contributes to the stitched coarse graph: the
@@ -26,34 +27,54 @@ type PEContraction struct {
 	FineCoarse  []int32 // ... and their coarse global ids, parallel
 }
 
-// ContractDistributed contracts a distributed matching PE-locally: every PE
-// contracts the owned part of its subgraph, the PEs agree on a global coarse
-// numbering (prefix sum over per-PE coarse-node counts), exchange the coarse
-// ids of boundary and cross-matched nodes through ex, and the coarse
-// subgraphs are stitched back into one global coarse graph through the
-// local↔global id maps — so the existing Hierarchy/uncoarsening machinery
-// keeps working unchanged on the result.
-//
-// The coarse node of a pair matched across a cut is owned by the PE owning
-// the endpoint with the smaller global id; each cut edge is contributed to
-// the stitched graph by exactly one side (again the smaller-global-id
-// endpoint's owner), so coarse edge weights come out identical to a
-// shared-memory contraction of the same matching. Returns the coarse graph
-// and the fine→coarse node map of the global graph; an error can only come
-// from Stitch rejecting the parts, which for in-process parts is a bug.
-func ContractDistributed(g *graph.Graph, sgs []*dist.Subgraph, ms []matching.Matching, ex dist.Transport) (*graph.Graph, []int32, error) {
-	pes := len(sgs)
-	parts := make([]*PEContraction, pes)
-	var wg sync.WaitGroup
-	for pe := 0; pe < pes; pe++ {
-		wg.Add(1)
-		go func(pe int) {
-			defer wg.Done()
-			parts[pe] = ContractSubgraph(sgs[pe], ms[pe], ex, pe)
-		}(pe)
+// LevelParams are the inputs one PE's contraction level takes besides its
+// shard and the Transport: the rating function, the matching algorithm, the
+// level's seed, the cluster-weight cap and whether the boundary (gap graph)
+// is matched. Every PE of a level runs with the same parameters.
+type LevelParams struct {
+	Rating   rating.Func
+	Matcher  matching.Algorithm
+	Seed     uint64
+	MaxPair  int64
+	Boundary bool
+}
+
+// PELevel is one PE's outcome of a contraction level: how many of its owned
+// nodes matched, its matching and contraction kernel times, and — unless no
+// PE matched — its contraction contribution. The per-PE program that fills
+// it lives in internal/core (it reads the clock, which this package does
+// not); the out-of-process backend ships it inside wire.Result.
+type PELevel struct {
+	PE            int
+	Matched       int
+	MatchNanos    int64
+	ContractNanos int64
+	Part          *PEContraction // nil when the level's matching was empty
+}
+
+// Gather folds the per-PE outcomes of one contraction level, ordered by PE,
+// into the next-level graph: when no PE matched it returns a nil graph (the
+// graph cannot shrink further); otherwise it stitches the parts. The
+// reported kernel times are the slowest PE's, since every PE waits for the
+// slowest at the superstep barriers. The error is Stitch's.
+func Gather(g *graph.Graph, levels []PELevel) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
+	parts := make([]*PEContraction, len(levels))
+	var matchNanos, contractNanos int64
+	matched := false
+	for pe, l := range levels {
+		parts[pe] = l.Part
+		matched = matched || l.Matched > 0
+		matchNanos = max(matchNanos, l.MatchNanos)
+		contractNanos = max(contractNanos, l.ContractNanos)
 	}
-	wg.Wait()
-	return Stitch(g, parts)
+	if !matched {
+		return nil, nil, time.Duration(matchNanos), 0, nil
+	}
+	cg, f2c, err := Stitch(g, parts)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	return cg, f2c, time.Duration(matchNanos), time.Duration(contractNanos), nil
 }
 
 // StitchError reports per-PE contraction parts that do not fit together
@@ -167,11 +188,14 @@ func Stitch(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32, erro
 	return b.Build(), fine2coarse, nil
 }
 
-// ContractSubgraph is the per-PE side of ContractDistributed: the superstep
-// sequence ONE processing element executes to contract its shard. Like
-// matching.MatchSubgraph it is exported so an out-of-process worker can run
-// exactly the in-process code path against a SocketTransport and ship the
-// resulting PEContraction back to the coordinator for Stitch.
+// ContractSubgraph is the contraction half of one PE's level program: the
+// superstep sequence ONE processing element executes to contract its shard
+// (core.RunPE runs it after matching). The contraction of a pair matched
+// across a cut is owned by the PE owning the endpoint with the smaller
+// global id; each cut edge is contributed by exactly one side (again the
+// smaller-global-id endpoint's owner), so once Gather stitches the parts,
+// coarse edge weights come out identical to a shared-memory contraction of
+// the same matching.
 func ContractSubgraph(sg *dist.Subgraph, m matching.Matching, ex dist.Transport, pe int) *PEContraction {
 	g := sg.Local
 	owned := sg.NumOwned

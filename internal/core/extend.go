@@ -44,8 +44,7 @@ func RefineExisting(ctx context.Context, g *graph.Graph, cfg Config, blocks []in
 			return nil, 0, fmt.Errorf("%w: node %d in block %d, want [0, %d)", ErrInvalidConfig, v, b, cfg.K)
 		}
 	}
-	pl := NewPipeline(opts...)
-	env := &Env{observers: pl.Observers}
+	env := newRunEnv(opts)
 	own := append([]int32(nil), blocks...)
 	p := part.FromBlocks(g, cfg.K, cfg.Eps, own)
 	if !p.Feasible() {

@@ -61,33 +61,57 @@ func sharedLevel(cur *graph.Graph, cfg *Config, blocks []int32, pes, level int, 
 	return cg, f2c, matchT, time.Since(tc)
 }
 
-// distributedLevel performs one contraction level PE-locally (§3): extract
-// per-PE subgraphs with ghost layers, match each subgraph's internal edges
-// sequentially, resolve the boundary by mutual proposals over the Transport
-// supersteps, contract every subgraph locally, and stitch the coarse
-// subgraphs back into the next-level global graph. It reports the matching
-// and contraction kernel times (extraction counts toward matching, the way
-// the paper accounts the ghost setup). Returns (nil, nil, ...) when the
-// matching comes out empty.
-func distributedLevel(cur *graph.Graph, cfg *Config, blocks []int32, t dist.Transport, pes, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
-	tm := time.Now()
-	sgs := dist.ExtractAll(cur, blocks, pes)
-	ms := matching.Distributed(sgs, t, cfg.Rating, cfg.Matcher,
-		cfg.Seed+uint64(level)*101, maxPair, cfg.GapMatching)
-	matchT := time.Since(tm)
-	matched := false
-	for _, m := range ms {
-		if m.Size() > 0 {
-			matched = true
-			break
-		}
+// DistributedLevel performs one contraction level PE-locally (§3): extract
+// the per-PE subgraphs with ghost layers under the node-to-PE assignment
+// blocks, run RunPE on one goroutine per PE over t, and Gather the outcomes
+// into the next-level graph. The kernel times are the slowest PE's. Returns
+// a nil graph when no PE matched. It is the in-process kernel of
+// CoarsenDistributed, and the coordinator of internal/remote runs it over an
+// Exchanger when no worker is left.
+func DistributedLevel(cur *graph.Graph, cfg *Config, blocks []int32, t dist.Transport, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
+	sgs := dist.ExtractAll(cur, blocks, t.PEs())
+	p := coarsen.LevelParams{
+		Rating:   cfg.Rating,
+		Matcher:  cfg.Matcher,
+		Seed:     cfg.Seed + uint64(level)*101,
+		MaxPair:  maxPair,
+		Boundary: cfg.GapMatching,
 	}
-	if !matched {
-		return nil, nil, matchT, 0, nil
+	out := make([]coarsen.PELevel, len(sgs))
+	var wg sync.WaitGroup
+	for pe := range sgs {
+		wg.Add(1)
+		go func(pe int) {
+			defer wg.Done()
+			out[pe] = RunPE(sgs[pe], t, p, pe)
+		}(pe)
 	}
-	tc := time.Now()
-	cg, f2c, err := coarsen.ContractDistributed(cur, sgs, ms, t)
-	return cg, f2c, matchT, time.Since(tc), err
+	wg.Wait()
+	return coarsen.Gather(cur, out)
+}
+
+// RunPE is the program ONE processing element runs per distributed
+// contraction level (§3): match its shard's internal edges and resolve the
+// boundary with its neighbours, vote over t whether any PE matched, and —
+// when one did — contract the shard. Every PE of a level runs it once over
+// the same Transport, whether as a goroutine (DistributedLevel) or inside a
+// socket worker process, so every backend takes the same supersteps and
+// produces the same bytes. It times the matching and contraction kernels;
+// the vote counts toward neither.
+func RunPE(sg *dist.Subgraph, t dist.Transport, p coarsen.LevelParams, pe int) coarsen.PELevel {
+	start := time.Now()
+	m := matching.MatchSubgraph(sg, t, p.Rating, p.Matcher, p.Seed, p.MaxPair, p.Boundary, pe)
+	out := coarsen.PELevel{PE: pe, Matched: m.Size(), MatchNanos: time.Since(start).Nanoseconds()}
+	// Collective empty-matching vote: every PE reaches the same verdict, so
+	// either all contract (keeping the superstep sequences aligned) or none
+	// does.
+	if !t.AllReduceOr(pe, out.Matched > 0) {
+		return out
+	}
+	start = time.Now()
+	out.Part = coarsen.ContractSubgraph(sg, m, t, pe)
+	out.ContractNanos = time.Since(start).Nanoseconds()
+	return out
 }
 
 // parallelNoGap is the ablation variant of parallel matching: local
@@ -119,7 +143,7 @@ func initialPartition(g *graph.Graph, cfg *Config) ([]int32, int64) {
 // derives the level's random streams; level names the level in RefineEvents
 // (uncoarsening steps done: 0 = coarsest graph). The context is checked
 // before every global iteration.
-func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed uint64, level int, env *Env) error {
+func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed uint64, level int, env *runEnv) error {
 	if cfg.K < 2 {
 		return nil
 	}
@@ -144,9 +168,9 @@ func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed 
 			// snapshot and per-pair gain table are arena scratch; each
 			// goroutine checks a reusable FM workspace out of the run's
 			// pool.
-			view := env.Arena.Int32(len(p.Block))
+			view := env.arena.Int32(len(p.Block))
 			copy(view, p.Block)
-			gains := env.Arena.Int64(len(class))
+			gains := env.arena.Int64(len(class))
 			var wg sync.WaitGroup
 			for i, e := range class {
 				wg.Add(1)
@@ -171,10 +195,10 @@ func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed 
 			for _, gv := range gains {
 				totalGain += gv
 			}
-			env.Arena.PutInt64(gains)
-			env.Arena.PutInt32(view)
+			env.arena.PutInt64(gains)
+			env.arena.PutInt32(view)
 		}
-		env.Emit(RefineEvent{Level: level, Iteration: global, Gain: totalGain})
+		env.emit(RefineEvent{Level: level, Iteration: global, Gain: totalGain})
 		if totalGain > 0 {
 			fruitlessRuns = 0
 			continue

@@ -30,36 +30,51 @@ type Distributor interface {
 	Distribute(ctx context.Context, g *graph.Graph, cfg *Config, pes int) ([]int32, error)
 }
 
-// Coarsener builds the contraction hierarchy of §3. The default runs
-// matching-based contraction — shared-memory or PE-local over the Transport,
-// per cfg.Coarsen — until the stop rule of §4 fires, and emits one
-// LevelEvent per pushed level.
-type Coarsener interface {
-	Coarsen(ctx context.Context, g *graph.Graph, cfg *Config, env *Env) (*coarsen.Hierarchy, error)
-}
-
-// Env is what the Pipeline hands every stage besides the graph and config:
-// the cross-stage collaborators (node distributor, message transport, the
-// run's scratch arena) and the trace sink.
-type Env struct {
-	Distributor Distributor
-	// Transport carries the superstep messages of distributed coarsening.
+// runEnv is what Run hands every stage besides the graph and config: the
+// collaborators the Options set (node distributor, level kernel, message
+// transport, the run's scratch arena), the trace sink, and the refinement
+// workspace pool.
+type runEnv struct {
+	distributor Distributor
+	kernel      LevelKernel
+	// transport carries the superstep messages of distributed coarsening.
 	// nil means one channel-backed dist.Exchanger per contraction level —
 	// the in-process default.
-	Transport dist.Transport
-	// Arena is the run's scratch arena: every level of coarsening and every
+	transport dist.Transport
+	// stats, when non-nil, receives per-PE transport counters from every
+	// superstep of distributed coarsening (see transportFor).
+	stats *dist.TransportStats
+	// arena is the run's scratch arena: every level of coarsening and every
 	// refinement round borrows its temporaries here, so the V-cycle
 	// allocates its working set once at the finest level and reuses it all
-	// the way down and back up. nil degrades to fresh allocations.
-	Arena *mem.Arena
-
+	// the way down and back up.
+	arena     *mem.Arena
 	observers []Observer
-	stats     *dist.TransportStats
 	refineWS  sync.Pool // *refine.Workspace, reused across pairs/levels/iterations
 }
 
+// newRunEnv applies opts on top of the paper's defaults: the
+// cfg.Distribution strategy, the in-process level kernel, per-level
+// Exchangers, a run-private arena.
+func newRunEnv(opts []Option) *runEnv {
+	e := &runEnv{}
+	for _, o := range opts {
+		o(e)
+	}
+	if e.distributor == nil {
+		e.distributor = strategyDistributor{}
+	}
+	if e.kernel == nil {
+		e.kernel = e.level
+	}
+	if e.arena == nil {
+		e.arena = mem.NewArena()
+	}
+	return e
+}
+
 // getWorkspace borrows a refinement workspace from the run's pool.
-func (e *Env) getWorkspace() *refine.Workspace {
+func (e *runEnv) getWorkspace() *refine.Workspace {
 	if ws, ok := e.refineWS.Get().(*refine.Workspace); ok {
 		return ws
 	}
@@ -67,10 +82,10 @@ func (e *Env) getWorkspace() *refine.Workspace {
 }
 
 // putWorkspace returns a workspace borrowed with getWorkspace.
-func (e *Env) putWorkspace(ws *refine.Workspace) { e.refineWS.Put(ws) }
+func (e *runEnv) putWorkspace(ws *refine.Workspace) { e.refineWS.Put(ws) }
 
-// Emit delivers ev to every attached Observer, in attachment order.
-func (e *Env) Emit(ev TraceEvent) {
+// emit delivers ev to every attached Observer, in attachment order.
+func (e *runEnv) emit(ev TraceEvent) {
 	for _, o := range e.observers {
 		o.OnTrace(ev)
 	}
@@ -79,109 +94,74 @@ func (e *Env) Emit(ev TraceEvent) {
 // transportFor returns the Transport distributed coarsening must use for a
 // superstep sequence over pes PEs, metered when the run carries transport
 // stats (dist.Metered is the identity for nil stats).
-func (e *Env) transportFor(pes int) dist.Transport {
-	t := e.Transport
+func (e *runEnv) transportFor(pes int) dist.Transport {
+	t := e.transport
 	if t == nil {
 		t = dist.NewExchanger(pes)
 	}
 	return dist.Metered(t, e.stats)
 }
 
-// Pipeline is the KaPPa runner: contraction (§3) through a replaceable
-// Distributor and Coarsener, then initial partitioning (§4) and pairwise
-// refinement (§5), with an optional Transport for the distributed
-// contraction phase and optional Observers for typed progress events. The
-// zero value runs the paper's pipeline; NewPipeline applies functional
-// options on top of the defaults.
-//
-// Error contract: Run returns ErrInvalidConfig-wrapped errors for bad input,
-// the context's error (matching errors.Is(err, context.Canceled) or
-// context.DeadlineExceeded) when cancelled, and never panics on user input.
-// A fixed Config.Seed makes Run byte-deterministic.
-type Pipeline struct {
-	Distributor Distributor
-	Coarsener   Coarsener
-	Transport   dist.Transport
-	Observers   []Observer
-	// Stats, when non-nil, receives per-PE transport counters from every
-	// superstep of distributed coarsening: the Env's transports are wrapped
-	// with dist.Metered. nil (the default) leaves transports unwrapped — the
-	// hot path is untouched.
-	Stats *dist.TransportStats
-	// Arena is the scratch arena runs draw their temporaries from. nil
-	// gives every Run a private arena; setting one (WithArena) lets
-	// repeated runs — benchmark repetitions, a partitioning service —
-	// reuse the same backing buffers across runs. Arenas are safe for
-	// concurrent use, including concurrent Runs.
-	Arena *mem.Arena
-}
-
-// Option configures a Pipeline.
-type Option func(*Pipeline)
+// Option configures a Run.
+type Option func(*runEnv)
 
 // WithObserver attaches an Observer; repeated options attach several, all of
 // which receive every event in order.
 func WithObserver(o Observer) Option {
-	return func(p *Pipeline) { p.Observers = append(p.Observers, o) }
+	return func(e *runEnv) { e.observers = append(e.observers, o) }
 }
 
 // WithTransport routes every superstep of distributed coarsening through t
 // instead of per-level channel Exchangers. t.PEs() must match the
 // configured PE count; Run rejects a mismatch as ErrInvalidConfig.
 func WithTransport(t dist.Transport) Option {
-	return func(p *Pipeline) { p.Transport = t }
+	return func(e *runEnv) { e.transport = t }
 }
 
 // WithTransportStats meters every superstep of distributed coarsening into
 // s: message and superstep counts and barrier time, per PE. The counters are
 // atomic, so s may be scraped (obs.BindTransport) while the run is in
-// flight. A nil s is the identity.
+// flight. A nil s is the identity; without this option the transports stay
+// unwrapped and the hot path is untouched.
 func WithTransportStats(s *dist.TransportStats) Option {
-	return func(p *Pipeline) { p.Stats = s }
+	return func(e *runEnv) { e.stats = s }
 }
 
 // WithArena makes runs draw their scratch buffers (matching candidate
 // arrays, contraction member lists and scatter arrays, refinement bands and
 // projection ping-pong buffers) from a instead of a run-private arena, so
-// repeated runs reuse one working set. Results are byte-identical with and
-// without a shared arena.
+// repeated runs — benchmark repetitions, a partitioning service — reuse one
+// working set. Arenas are safe for concurrent use, including concurrent
+// Runs. Results are byte-identical with and without a shared arena.
 func WithArena(a *mem.Arena) Option {
-	return func(p *Pipeline) { p.Arena = a }
+	return func(e *runEnv) { e.arena = a }
 }
 
 // WithDistributor replaces the node-to-PE prepartitioning stage.
 func WithDistributor(d Distributor) Option {
-	return func(p *Pipeline) { p.Distributor = d }
+	return func(e *runEnv) { e.distributor = d }
 }
 
-// WithCoarsener replaces the contraction stage.
-func WithCoarsener(c Coarsener) Option {
-	return func(p *Pipeline) { p.Coarsener = c }
+// WithLevelKernel replaces the in-process level kernel: every contraction
+// level runs through k, under the same stop rule, distribution and
+// LevelEvents. internal/remote uses it to run each level across worker
+// processes.
+func WithLevelKernel(k LevelKernel) Option {
+	return func(e *runEnv) { e.kernel = k }
 }
 
-// NewPipeline returns a Pipeline with the paper's default stages and the
-// given options applied.
-func NewPipeline(opts ...Option) *Pipeline {
-	p := &Pipeline{}
-	for _, o := range opts {
-		o(p)
-	}
-	return p
-}
-
-// Run executes the pipeline with the given options; it is the primary entry
-// point of the package. See Pipeline.Run for the error contract.
+// Run executes the full KaPPa pipeline on g: contraction (§3) through the
+// Distributor and the level kernel, initial partitioning (§4), and pairwise
+// multilevel refinement (§5), emitting typed trace events to the attached
+// Observers. A nil ctx counts as context.Background(). The context is
+// checked between phases, before every contraction level, and before every
+// global refinement iteration.
+//
+// Error contract: Run returns ErrInvalidConfig-wrapped errors for bad input,
+// the context's error (matching errors.Is(err, context.Canceled) or
+// context.DeadlineExceeded) when cancelled, and never panics on user input.
+// A fixed Config.Seed makes Run byte-deterministic.
 func Run(ctx context.Context, g *graph.Graph, cfg Config, opts ...Option) (Result, error) {
-	return NewPipeline(opts...).Run(ctx, g, cfg)
-}
-
-// Run executes the full pipeline on g: contraction, initial partitioning,
-// multilevel refinement. A nil ctx counts as context.Background(). The
-// context is checked between phases, before every contraction level, and
-// before every global refinement iteration, so cancellation aborts promptly
-// with ctx.Err(); invalid configurations return ErrInvalidConfig-wrapped
-// errors instead of panicking.
-func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -191,31 +171,14 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 	if err := cfg.Validate(); err != nil {
 		return Result{}, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
-	if pl.Transport != nil && pl.Transport.PEs() != cfg.pes() {
+	env := newRunEnv(opts)
+	if env.transport != nil && env.transport.PEs() != cfg.pes() {
 		return Result{}, fmt.Errorf("%w: transport connects %d PEs, configuration uses %d",
-			ErrInvalidConfig, pl.Transport.PEs(), cfg.pes())
+			ErrInvalidConfig, env.transport.PEs(), cfg.pes())
 	}
-	if pl.Stats != nil && pl.Stats.PEs() < cfg.pes() {
+	if env.stats != nil && env.stats.PEs() < cfg.pes() {
 		return Result{}, fmt.Errorf("%w: transport stats track %d PEs, configuration uses %d",
-			ErrInvalidConfig, pl.Stats.PEs(), cfg.pes())
-	}
-	arena := pl.Arena
-	if arena == nil {
-		arena = mem.NewArena()
-	}
-	env := &Env{
-		Distributor: pl.Distributor,
-		Transport:   pl.Transport,
-		Arena:       arena,
-		observers:   pl.Observers,
-		stats:       pl.Stats,
-	}
-	if env.Distributor == nil {
-		env.Distributor = strategyDistributor{}
-	}
-	coarsener := pl.Coarsener
-	if coarsener == nil {
-		coarsener = matchingCoarsener{}
+			ErrInvalidConfig, env.stats.PEs(), cfg.pes())
 	}
 
 	start := time.Now()
@@ -229,13 +192,13 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 	var h *coarsen.Hierarchy
 	var err error
 	pprof.Do(ctx, pprof.Labels("stage", PhaseCoarsen.String()), func(ctx context.Context) {
-		h, err = coarsener.Coarsen(ctx, g, &cfg, env)
+		h, err = coarsenHierarchy(ctx, g, &cfg, env)
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("core: coarsening: %w", err)
 	}
 	coarsenTime := time.Since(tc)
-	env.Emit(PhaseEvent{PhaseCoarsen, coarsenTime})
+	env.emit(PhaseEvent{PhaseCoarsen, coarsenTime})
 
 	// ------ Initial partitioning (§4) ------
 	ti := time.Now()
@@ -248,8 +211,8 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 		block, cut = initialPartition(h.Coarsest, &cfg)
 	})
 	initTime := time.Since(ti)
-	env.Emit(InitEvent{Cut: cut, Time: initTime})
-	env.Emit(PhaseEvent{PhaseInit, initTime})
+	env.emit(InitEvent{Cut: cut, Time: initTime})
+	env.emit(PhaseEvent{PhaseInit, initTime})
 
 	// ------ Refinement phase (§5) ------
 	tr := time.Now()
@@ -261,7 +224,7 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 		return Result{}, fmt.Errorf("core: refinement: %w", err)
 	}
 	refineTime := time.Since(tr)
-	env.Emit(PhaseEvent{PhaseRefine, refineTime})
+	env.emit(PhaseEvent{PhaseRefine, refineTime})
 
 	res := Result{
 		Blocks:      p.Block,
@@ -273,7 +236,7 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 		RefineTime:  refineTime,
 		TotalTime:   time.Since(start),
 	}
-	env.Emit(PhaseEvent{PhaseTotal, res.TotalTime})
+	env.emit(PhaseEvent{PhaseTotal, res.TotalTime})
 	return res, nil
 }
 
@@ -292,20 +255,30 @@ func (strategyDistributor) Distribute(ctx context.Context, g *graph.Graph, cfg *
 // node-to-PE assignment when PEs > 1, nil otherwise) and contract the
 // matching into the next coarser graph. It returns the coarse graph, the
 // fine→coarse node map, and the matching/contraction kernel times — or a nil
-// graph to signal an empty matching (the graph cannot shrink further).
-// CoarsenWith drives a kernel through the paper's stop rule; the default
-// kernels run in-process, internal/remote's kernel ships each PE its shard
-// and runs the level across worker processes.
+// graph to signal an empty matching (the graph cannot shrink further). The
+// default kernel runs in-process; WithLevelKernel replaces it.
 type LevelKernel func(ctx context.Context, cur *graph.Graph, cfg *Config, blocks []int32, level int, maxPair int64) (cg *graph.Graph, f2c []int32, matchT, contractT time.Duration, err error)
 
-// CoarsenWith runs the contraction loop of §3/§4 around a per-level kernel:
-// fewer than max(20·P, n/(α·k²), 2k) nodes remain — the per-PE threshold
-// max(20, n/(αk²)) of the paper summed over PEs — or the graph stops
-// shrinking geometrically. It computes the per-level node distribution, the
-// cluster-weight cap, and emits one LevelEvent per pushed level, so every
-// Coarsener built on it (in-process or out-of-process) shares the exact
-// same hierarchy policy.
-func CoarsenWith(ctx context.Context, g *graph.Graph, cfg *Config, env *Env, kernel LevelKernel) (*coarsen.Hierarchy, error) {
+// level is the in-process LevelKernel: shared-memory matching and
+// contraction, or DistributedLevel over the run's Transport, per
+// cfg.Coarsen.
+func (e *runEnv) level(ctx context.Context, cur *graph.Graph, cfg *Config, blocks []int32, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
+	pes := cfg.NumPEs()
+	if pes > 1 && cfg.Coarsen == CoarsenDistributed {
+		return DistributedLevel(cur, cfg, blocks, e.transportFor(pes), level, maxPair)
+	}
+	cg, f2c, matchT, contractT := sharedLevel(cur, cfg, blocks, pes, level, maxPair, e.arena)
+	return cg, f2c, matchT, contractT, nil
+}
+
+// coarsenHierarchy runs the contraction loop of §3/§4 around the run's level
+// kernel until fewer than max(20·P, n/(α·k²), 2k) nodes remain — the per-PE
+// threshold max(20, n/(αk²)) of the paper summed over PEs — or the graph
+// stops shrinking geometrically. It computes the per-level node
+// distribution and the cluster-weight cap and emits one LevelEvent per
+// pushed level, so every kernel (in-process or out-of-process) shares the
+// exact same hierarchy policy.
+func coarsenHierarchy(ctx context.Context, g *graph.Graph, cfg *Config, env *runEnv) (*coarsen.Hierarchy, error) {
 	pes := cfg.NumPEs()
 	n0 := float64(g.NumNodes())
 	threshold := int(n0 / (cfg.StopAlpha * float64(cfg.K) * float64(cfg.K)))
@@ -333,7 +306,7 @@ func CoarsenWith(ctx context.Context, g *graph.Graph, cfg *Config, env *Env, ker
 		var blocks []int32
 		if pes > 1 {
 			var err error
-			blocks, err = env.Distributor.Distribute(ctx, cur, cfg, pes)
+			blocks, err = env.distributor.Distribute(ctx, cur, cfg, pes)
 			if err != nil {
 				return nil, err
 			}
@@ -343,7 +316,7 @@ func CoarsenWith(ctx context.Context, g *graph.Graph, cfg *Config, env *Env, ker
 		var matchT, contractT time.Duration
 		var err error
 		pprof.Do(ctx, pprof.Labels("level", strconv.Itoa(level)), func(ctx context.Context) {
-			cg, f2c, matchT, contractT, err = kernel(ctx, cur, cfg, blocks, level, maxPair)
+			cg, f2c, matchT, contractT, err = env.kernel(ctx, cur, cfg, blocks, level, maxPair)
 		})
 		if err != nil {
 			return nil, err
@@ -357,7 +330,7 @@ func CoarsenWith(ctx context.Context, g *graph.Graph, cfg *Config, env *Env, ker
 			break
 		}
 		h.Push(cg, f2c)
-		env.Emit(LevelEvent{
+		env.emit(LevelEvent{
 			Level:    h.Depth(),
 			Nodes:    cg.NumNodes(),
 			Edges:    cg.NumEdges(),
@@ -369,28 +342,12 @@ func CoarsenWith(ctx context.Context, g *graph.Graph, cfg *Config, env *Env, ker
 	return h, nil
 }
 
-// matchingCoarsener is the default Coarsener: the CoarsenWith loop around
-// the in-process level kernels — shared-memory matching/contraction, or the
-// PE-local distributed kernel over the Env's Transport, per cfg.Coarsen.
-type matchingCoarsener struct{}
-
-func (matchingCoarsener) Coarsen(ctx context.Context, g *graph.Graph, cfg *Config, env *Env) (*coarsen.Hierarchy, error) {
-	pes := cfg.NumPEs()
-	return CoarsenWith(ctx, g, cfg, env, func(ctx context.Context, cur *graph.Graph, cfg *Config, blocks []int32, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
-		if pes > 1 && cfg.Coarsen == CoarsenDistributed {
-			return distributedLevel(cur, cfg, blocks, env.transportFor(pes), pes, level, maxPair)
-		}
-		cg, f2c, matchT, contractT := sharedLevel(cur, cfg, blocks, pes, level, maxPair, env.Arena)
-		return cg, f2c, matchT, contractT, nil
-	})
-}
-
 // refineHierarchy lifts the initial partition through the hierarchy and
 // improves it (§5): the nested refinement loops on every level, coarsest to
 // finest, followed by a rebalancing pass when the projected partition
 // violates the balance constraint. It emits one RefineEvent per global
 // iteration.
-func refineHierarchy(ctx context.Context, h *coarsen.Hierarchy, initial []int32, cfg *Config, env *Env) (*part.Partition, error) {
+func refineHierarchy(ctx context.Context, h *coarsen.Hierarchy, initial []int32, cfg *Config, env *runEnv) (*part.Partition, error) {
 	p := part.FromBlocks(h.Coarsest, cfg.K, cfg.Eps, initial)
 	if err := refineLevel(ctx, p, cfg, 0, 0, env); err != nil {
 		return nil, err
@@ -408,11 +365,11 @@ func refineHierarchy(ctx context.Context, h *coarsen.Hierarchy, initial []int32,
 		if li == 0 {
 			dst = make([]int32, fine.NumNodes())
 		} else {
-			dst = env.Arena.Int32(fine.NumNodes())
+			dst = env.arena.Int32(fine.NumNodes())
 		}
 		h.ProjectInto(li, p.Block, dst)
 		if borrowed {
-			env.Arena.PutInt32(p.Block)
+			env.arena.PutInt32(p.Block)
 		}
 		borrowed = li > 0
 		p = part.FromBlocks(fine, cfg.K, cfg.Eps, dst)

@@ -135,7 +135,6 @@ type socketPE struct {
 type SocketTransport struct {
 	pes      int
 	codec    BatchCodec
-	stats    *TransportStats
 	deadline time.Duration
 	faults   *FaultSchedule
 
@@ -150,11 +149,6 @@ var _ Transport = (*SocketTransport)(nil)
 func NewSocketTransport(pes int, codec BatchCodec) *SocketTransport {
 	return &SocketTransport{pes: pes, codec: codec, conns: make(map[int]*socketPE)}
 }
-
-// SetStats attaches s as the transport's byte/frame counter: every Exchange
-// adds its frame counts and payload bytes to s's entry for the calling PE.
-// Call before the first Exchange; nil detaches.
-func (t *SocketTransport) SetStats(s *TransportStats) { t.stats = s }
 
 // SetIODeadline bounds every Exchange I/O operation: each superstep send and
 // each inbox read must complete within d or Exchange panics with a
@@ -286,12 +280,6 @@ func (t *SocketTransport) Exchange(pe int, out [][]Msg) []Msg {
 	c.msgs, err = t.codec.DecodeBatch(c.in, c.msgs[:0])
 	if err != nil {
 		panic(&SocketError{fmt.Errorf("PE %d inbox decode: %w", pe, err)})
-	}
-	if st := t.stats.PE(pe); st != nil {
-		st.FramesSent.Add(1)
-		st.BytesSent.Add(int64(len(buf)))
-		st.FramesRecv.Add(1)
-		st.BytesRecv.Add(int64(nb))
 	}
 	return c.msgs
 }

@@ -9,8 +9,9 @@ import (
 // counters can be read (scraped by a metrics endpoint) while supersteps are
 // in flight. Message and superstep counts come from the Metered wrapper,
 // which sees every Transport uniformly; byte and frame counts exist only at
-// the socket layer and are filled in by SocketTransport/SocketHub when a
-// stats sink is attached with SetStats.
+// the socket layer and are filled in by the coordinator's SocketHub when a
+// stats sink is attached with SocketHub.SetStats (the hub also counts the
+// supersteps it routes).
 type PEStats struct {
 	MsgsSent   atomic.Int64 // messages handed to Exchange (all destinations)
 	MsgsRecv   atomic.Int64 // messages in returned inboxes

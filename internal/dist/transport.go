@@ -3,8 +3,9 @@ package dist
 import "sync"
 
 // Transport is the message-passing seam of distributed coarsening: the
-// bulk-synchronous superstep operations that matching.Distributed and
-// coarsen.ContractDistributed are written against. Every PE participating in
+// bulk-synchronous superstep operations that the per-PE level program
+// (core.RunPE: matching.MatchSubgraph, the empty-matching vote,
+// coarsen.ContractSubgraph) is written against. Every PE participating in
 // a superstep calls Exchange exactly once; the call doubles as a barrier and
 // returns the PE's inbox ordered by sender PE with each sender's messages in
 // send order — the property that makes distributed coarsening byte-identical

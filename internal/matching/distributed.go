@@ -32,6 +32,10 @@ import (
 // and every cross-PE message sequence is schedule-independent, so the result
 // is byte-identical across runs — and across GOMAXPROCS settings — for a
 // fixed seed.
+//
+// The pipeline does not call Distributed: its PEs run MatchSubgraph inside
+// core.RunPE. Distributed is the in-process matching reference the tests
+// compare against.
 func Distributed(sgs []*dist.Subgraph, ex dist.Transport, rf rating.Func, alg Algorithm, seed uint64, maxPair int64, boundary bool) []Matching {
 	pes := len(sgs)
 	out := make([]Matching, pes)
@@ -49,10 +53,10 @@ func Distributed(sgs []*dist.Subgraph, ex dist.Transport, rf rating.Func, alg Al
 
 // MatchSubgraph is the per-PE side of Distributed: the superstep
 // sequence ONE processing element executes against its own subgraph shard.
-// In-process runs spawn it per PE over a shared Transport; an out-of-process
-// worker (kappa worker) calls it directly with its shard and a
-// SocketTransport, which is what makes the distributed matching phase
-// runnable one-OS-process-per-PE without a second code path.
+// It is the matching half of the per-PE level program core.RunPE, which
+// goroutine PEs and out-of-process workers (kappa worker, over a
+// SocketTransport) run alike — so the distributed matching phase runs
+// one-OS-process-per-PE without a second code path.
 func MatchSubgraph(sg *dist.Subgraph, ex dist.Transport, rf rating.Func, alg Algorithm, seed uint64, maxPair int64, boundary bool, pe int) Matching {
 	g := sg.Local
 	n := g.NumNodes()

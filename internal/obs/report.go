@@ -191,30 +191,43 @@ func (o *ReportObserver) init(g *graph.Graph, cfg core.Config) {
 
 // OnTrace implements core.Observer.
 func (o *ReportObserver) OnTrace(ev core.TraceEvent) {
+	_, row := TraceRow(ev)
+	switch row := row.(type) {
+	case LevelReport:
+		o.report.Levels = append(o.report.Levels, row)
+	case InitReport:
+		o.report.Init = row
+	case RefineReport:
+		o.report.Refine = append(o.report.Refine, row)
+	case PhaseReport:
+		o.report.Phases = append(o.report.Phases, row)
+	}
+}
+
+// TraceRow renders a trace event as its kind ("level", "init", "refine" or
+// "phase") and its report row (a LevelReport, InitReport, RefineReport or
+// PhaseReport). It is the one rendering of trace events: the run report
+// collects the rows, and the job service streams them as SSE payloads under
+// the kind as event type.
+func TraceRow(ev core.TraceEvent) (string, any) {
 	switch e := ev.(type) {
 	case core.LevelEvent:
-		o.report.Levels = append(o.report.Levels, LevelReport{
+		return "level", LevelReport{
 			Level:           e.Level,
 			Nodes:           e.Nodes,
 			Edges:           e.Edges,
 			Seconds:         e.Time.Seconds(),
 			MatchSeconds:    e.Match.Seconds(),
 			ContractSeconds: e.Contract.Seconds(),
-		})
+		}
 	case core.InitEvent:
-		o.report.Init = InitReport{Cut: e.Cut, Seconds: e.Time.Seconds()}
+		return "init", InitReport{Cut: e.Cut, Seconds: e.Time.Seconds()}
 	case core.RefineEvent:
-		o.report.Refine = append(o.report.Refine, RefineReport{
-			Level:     e.Level,
-			Iteration: e.Iteration,
-			Gain:      e.Gain,
-		})
+		return "refine", RefineReport{Level: e.Level, Iteration: e.Iteration, Gain: e.Gain}
 	case core.PhaseEvent:
-		o.report.Phases = append(o.report.Phases, PhaseReport{
-			Phase:   e.Phase.String(),
-			Seconds: e.Time.Seconds(),
-		})
+		return "phase", PhaseReport{Phase: e.Phase.String(), Seconds: e.Time.Seconds()}
 	}
+	return "", nil
 }
 
 // Reset clears the event-driven sections so the observer can record another

@@ -6,20 +6,20 @@
 //
 //   - The coordinator (Serve) owns the global graph and the pipeline: it
 //     accepts one control and one transport connection per worker, assigns
-//     PEs, and replaces the in-process contraction kernel with one that
+//     PEs, and passes core.Run a level kernel (core.WithLevelKernel) that
 //     ships each PE its subgraph shard (wire-encoded) per level, waits for
-//     the per-PE contraction results, and stitches them into the next
-//     coarser graph. Initial partitioning and refinement run on the
+//     the per-PE outcomes, and folds them into the next coarser graph with
+//     coarsen.Gather. Initial partitioning and refinement run on the
 //     coordinator, exactly as §4/§5 of the paper run them on one rank.
 //
 //   - A worker (Work) hosts one or more PEs: it receives its shards, runs
-//     the exported per-PE kernels (matching.MatchSubgraph,
-//     coarsen.ContractSubgraph) against a dist.SocketTransport whose hub
-//     lives in the coordinator, and ships its contractions back.
+//     the per-PE level program core.RunPE against a dist.SocketTransport
+//     whose hub lives in the coordinator, and ships its outcomes back.
 //
-// Because the workers execute the identical kernel code the in-process
-// goroutine PEs execute, a fixed seed yields byte-identical partitions to
-// the Exchanger-backed run — the property TestServeMatchesInProcess and the
+// Because the workers run the same per-PE program the in-process goroutine
+// PEs run, a fixed seed yields byte-identical partitions and the same
+// supersteps per PE as the Exchanger-backed run — the properties
+// TestServeMatchesInProcess, TestServeSuperstepsMatchInProcess and the
 // cmd/kappa two-process test pin.
 //
 // # Fault tolerance
@@ -57,7 +57,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/graph"
-	"repro/internal/matching"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -100,9 +99,9 @@ type workerConn struct {
 	hosted []int       // PEs this worker currently runs, sorted
 }
 
-// coordinator implements core.Coarsener by outsourcing every contraction
-// level to the connected workers, supervising them, and repairing the
-// worker set between attempts.
+// coordinator is the level kernel of a served run: it outsources every
+// contraction level to the connected workers, supervises them, and repairs
+// the worker set between attempts.
 type coordinator struct {
 	pes      int
 	ln       net.Listener
@@ -277,7 +276,7 @@ func (co *coordinator) serve(ctx context.Context, g *graph.Graph, cfg core.Confi
 		go co.heartbeat(so.Heartbeat, hbStop)
 	}
 
-	res, runErr := core.Run(ctx, g, cfg, append(opts, core.WithCoarsener(co))...)
+	res, runErr := core.Run(ctx, g, cfg, append(opts, core.WithLevelKernel(co.level))...)
 	if hbStop != nil {
 		close(hbStop)
 	}
@@ -378,13 +377,7 @@ func (co *coordinator) markDead(w *workerConn) {
 	co.counters.WorkerFailures.Add(1)
 }
 
-// Coarsen implements core.Coarsener: the standard stop-rule loop around the
-// supervised remote level kernel.
-func (co *coordinator) Coarsen(ctx context.Context, g *graph.Graph, cfg *core.Config, env *core.Env) (*coarsen.Hierarchy, error) {
-	return core.CoarsenWith(ctx, g, cfg, env, co.level)
-}
-
-// level is the supervised LevelKernel: run the level remotely, and on a
+// level is the supervised core.LevelKernel: run the level remotely, and on a
 // worker failure repair the configuration and retry. A level's inputs are
 // pure functions of the current graph and the seed, and nothing commits
 // before Stitch, so a retried level is byte-identical to an undisturbed one.
@@ -542,9 +535,7 @@ func (co *coordinator) remoteLevel(cur *graph.Graph, cfg *core.Config, blocks []
 		}(w)
 	}
 
-	parts := make([]*coarsen.PEContraction, co.pes)
-	var matchNanos, contractNanos int64
-	matched := false
+	levels := make([]coarsen.PELevel, co.pes)
 	var firstErr error
 	sawAbort := false
 	for i := 0; i < co.pes; i++ {
@@ -557,17 +548,7 @@ func (co *coordinator) remoteLevel(cur *graph.Graph, cfg *core.Config, blocks []
 		case o.aborted:
 			sawAbort = true
 		default:
-			r := o.result
-			parts[o.pe] = r.Part
-			if r.Matched > 0 {
-				matched = true
-			}
-			if r.MatchNanos > matchNanos {
-				matchNanos = r.MatchNanos
-			}
-			if r.ContractNanos > contractNanos {
-				contractNanos = r.ContractNanos
-			}
+			levels[o.pe] = o.result.PELevel
 		}
 	}
 	if firstErr != nil {
@@ -580,11 +561,7 @@ func (co *coordinator) remoteLevel(cur *graph.Graph, cfg *core.Config, blocks []
 		// retry runs on verified-fresh connections.
 		return nil, nil, 0, 0, workerErr(-1, "result", fmt.Errorf("level %d aborted by transport failure", level))
 	}
-	matchT := time.Duration(matchNanos)
-	if !matched {
-		return nil, nil, matchT, 0, nil
-	}
-	cg, f2c, err := coarsen.Stitch(cur, parts)
+	cg, f2c, matchT, contractT, err := coarsen.Gather(cur, levels)
 	if err != nil {
 		// Parts come from the workers: an inconsistent one is that worker's
 		// fault. Declaring its host dead sends the level through the same
@@ -597,7 +574,7 @@ func (co *coordinator) remoteLevel(cur *graph.Graph, cfg *core.Config, blocks []
 		}
 		return nil, nil, 0, 0, workerErr(id, "result", err)
 	}
-	return cg, f2c, matchT, time.Duration(contractNanos), nil
+	return cg, f2c, matchT, contractT, nil
 }
 
 // spliceJob ships PE pe its level-0 job by splicing the stored shard file's
@@ -640,19 +617,11 @@ func (co *coordinator) abortLevel(outcomes chan<- outcome, pending map[int]bool,
 }
 
 // failWorker declares w dead mid-attempt and emits an error outcome for
-// every PE it still owed, so the attempt's outcome count stays exact. PEs
-// are emitted in ascending order so the first error the collector sees —
-// the one a failed run reports — does not depend on map iteration order.
+// every PE it still owed (see abortLevel), so the attempt's outcome count
+// stays exact.
 func (co *coordinator) failWorker(w *workerConn, outcomes chan<- outcome, pending map[int]bool, err *WorkerError) {
 	co.markDead(w)
-	pes := make([]int, 0, len(pending))
-	for pe := range pending {
-		pes = append(pes, pe)
-	}
-	sort.Ints(pes)
-	for _, pe := range pes {
-		outcomes <- outcome{pe: pe, err: err}
-	}
+	co.abortLevel(outcomes, pending, err)
 }
 
 // liveWorkers returns the workers not declared dead.
@@ -784,8 +753,9 @@ func (co *coordinator) acceptTransports(ctx context.Context) error {
 }
 
 // localLevel is the graceful-degradation kernel: the coordinator runs every
-// PE's kernel itself over the in-process Exchanger — the exact code path of
-// `-coarsen distributed` in one process, hence byte-identical results.
+// PE's level program itself over the in-process Exchanger — the exact code
+// path of `-coarsen distributed` in one process, hence byte-identical
+// results.
 func (co *coordinator) localLevel(cur *graph.Graph, cfg *core.Config, blocks []int32, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
 	if co.localT == nil {
 		co.localT = dist.Metered(dist.NewExchanger(co.pes), co.opts.Stats)
@@ -801,24 +771,7 @@ func (co *coordinator) localLevel(cur *graph.Graph, cfg *core.Config, blocks []i
 			blocks = make([]int32, cur.NumNodes())
 		}
 	}
-	tm := time.Now()
-	sgs := dist.ExtractAll(cur, blocks, co.pes)
-	ms := matching.Distributed(sgs, co.localT, cfg.Rating, cfg.Matcher,
-		cfg.Seed+uint64(level)*101, maxPair, cfg.GapMatching)
-	matchT := time.Since(tm)
-	matched := false
-	for _, m := range ms {
-		if m.Size() > 0 {
-			matched = true
-			break
-		}
-	}
-	if !matched {
-		return nil, nil, matchT, 0, nil
-	}
-	tc := time.Now()
-	cg, f2c, err := coarsen.ContractDistributed(cur, sgs, ms, co.localT)
-	return cg, f2c, matchT, time.Since(tc), err
+	return core.DistributedLevel(cur, cfg, blocks, co.localT, level, maxPair)
 }
 
 // armListener sets (or clears, d == 0) the accept deadline on listeners

@@ -85,7 +85,7 @@ func TestRemoteLevelInconsistentResult(t *testing.T) {
 			if _, _, err := wire.ReadFrame(bufio.NewReader(conn)); err != nil {
 				return
 			}
-			res := wire.Result{PE: pe, Matched: 1, Part: parts[pe]}
+			res := wire.Result{PELevel: coarsen.PELevel{PE: pe, Matched: 1, Part: parts[pe]}}
 			wire.WriteFrame(conn, wire.KindResult, wire.AppendResult(nil, res))
 		}(pe, c2)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/coarsen"
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/matching"
 	"repro/internal/rating"
@@ -389,12 +390,13 @@ func tryHandshake(network, addr string, wo WorkOptions, setCtrl func(net.Conn)) 
 	return conn, br, assign, nil
 }
 
-// runLevel executes one contraction-level job against the transport. The
-// socket transport reports I/O failure by panicking with *dist.SocketError
-// (the Transport interface has no error returns); this is the superstep-
-// sequence boundary where that panic converts back into an error.
+// runLevel executes one contraction-level job against the transport: the
+// per-PE level program core.RunPE, the same one the in-process goroutine PEs
+// run. The socket transport reports I/O failure by panicking with
+// *dist.SocketError (the Transport interface has no error returns); this is
+// the superstep-sequence boundary where that panic converts back into an
+// error.
 func runLevel(t *dist.SocketTransport, assign wire.Assign, rf rating.Func, alg matching.Algorithm, job wire.Job) (result wire.Result, err error) {
-	pe := int(job.Shard.PE)
 	defer func() {
 		if r := recover(); r != nil {
 			var serr *dist.SocketError
@@ -405,18 +407,6 @@ func runLevel(t *dist.SocketTransport, assign wire.Assign, rf rating.Func, alg m
 			panic(r)
 		}
 	}()
-	start := time.Now()
-	m := matching.MatchSubgraph(job.Shard, t, rf, alg, job.Seed, job.MaxPair, assign.Boundary, pe)
-	matchNanos := time.Since(start).Nanoseconds()
-	result = wire.Result{PE: pe, Matched: m.Size(), MatchNanos: matchNanos}
-	// Collective empty-matching vote: every PE reaches the same verdict, so
-	// either all contract (keeping the superstep sequences aligned) or none
-	// does — mirroring the coordinator-side check of the in-process path.
-	if !t.AllReduceOr(pe, m.Size() > 0) {
-		return result, nil
-	}
-	start = time.Now()
-	result.Part = coarsen.ContractSubgraph(job.Shard, m, t, pe)
-	result.ContractNanos = time.Since(start).Nanoseconds()
-	return result, nil
+	p := coarsen.LevelParams{Rating: rf, Matcher: alg, Seed: job.Seed, MaxPair: job.MaxPair, Boundary: assign.Boundary}
+	return wire.Result{PELevel: core.RunPE(job.Shard, t, p, int(job.Shard.PE))}, nil
 }

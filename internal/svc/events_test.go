@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // parseSSE decodes a Server-Sent Events body into its events.
@@ -111,9 +113,71 @@ func TestEventStreamReplaysRun(t *testing.T) {
 			t.Errorf("stream has no %q trace events (saw %v)", want, kinds)
 		}
 	}
-	var ph phaseEvent
+	var ph obs.PhaseReport
 	if err := json.Unmarshal(evs[len(evs)-2].Data, &ph); err != nil || ph.Phase != "total" {
 		t.Errorf("second-to-last event should be the total phase, got %s %s", evs[len(evs)-2].Type, evs[len(evs)-2].Data)
+	}
+}
+
+// TestEventStreamPayloadsMatchReport pins the one rendering of trace events:
+// for a fixed-seed job, the level/init/refine/phase payloads of the SSE
+// stream are, in order, byte-equal to json.Marshal of the rows of that job's
+// run report.
+func TestEventStreamPayloadsMatchReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real pipeline run")
+	}
+	s, h := newTestServer(t, Options{Concurrency: 1, Queue: 2})
+	st := decodeStatus(t, submitJob(t, h, `{"gen":"grid:12x12","k":3,"seed":9}`))
+	done := waitTerminal(t, s, st.ID)
+	if done.State != StateDone {
+		t.Fatalf("job: %s (%s)", done.State, done.Error)
+	}
+
+	stream := httptest.NewRecorder()
+	h.ServeHTTP(stream, httptest.NewRequest("GET", st.Events, nil))
+	var got []string
+	for _, ev := range parseSSE(t, stream.Body.String()) {
+		if ev.Type != "state" {
+			got = append(got, ev.Type+" "+string(ev.Data))
+		}
+	}
+
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", done.Report, nil))
+	var rep obs.Report
+	if err := json.Unmarshal(rr.Body.Bytes(), &rep); err != nil {
+		t.Fatalf("report %d: %v", rr.Code, err)
+	}
+	var want []string
+	row := func(kind string, v any) {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, kind+" "+string(b))
+	}
+	// Pipeline order (see core.TraceEvent): the levels, the coarsen phase,
+	// init, the init phase, the refinement iterations, then the refine and
+	// total phases.
+	for _, l := range rep.Levels {
+		row("level", l)
+	}
+	row("phase", rep.Phases[0])
+	row("init", rep.Init)
+	row("phase", rep.Phases[1])
+	for _, r := range rep.Refine {
+		row("refine", r)
+	}
+	for _, p := range rep.Phases[2:] {
+		row("phase", p)
+	}
+	if len(rep.Levels) == 0 || len(rep.Refine) == 0 || len(rep.Phases) != 4 {
+		t.Fatalf("report has %d levels, %d refine rows, %d phases", len(rep.Levels), len(rep.Refine), len(rep.Phases))
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("SSE payloads differ from the report rows:\n--- stream\n%s\n--- report\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

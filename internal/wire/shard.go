@@ -307,15 +307,11 @@ func DecodeJob(data []byte) (Job, error) {
 	return j, nil
 }
 
-// Result is a worker's answer to a Job: how many of its owned nodes matched,
-// the kernel wall-clock times, and — when any PE matched — its contraction
-// contribution.
+// Result is a worker's answer to a Job: the outcome of one hosted PE's level
+// program — how many of its owned nodes matched, the kernel wall-clock
+// times, and, when any PE matched, its contraction contribution.
 type Result struct {
-	PE            int
-	Matched       int
-	MatchNanos    int64
-	ContractNanos int64
-	Part          *coarsen.PEContraction // nil when the level's matching was empty
+	coarsen.PELevel
 }
 
 // AppendResult encodes a Result payload.

@@ -162,8 +162,8 @@ func TestAssignJobResultRoundTrip(t *testing.T) {
 		t.Fatalf("job changed: %+v", gotj)
 	}
 
-	r := Result{PE: 2, Matched: 9, MatchNanos: 1e6, ContractNanos: 2e6,
-		Part: &coarsen.PEContraction{FirstCoarse: 1, Weights: []int64{2}, FineGlobal: []int32{0}, FineCoarse: []int32{1}}}
+	r := Result{coarsen.PELevel{PE: 2, Matched: 9, MatchNanos: 1e6, ContractNanos: 2e6,
+		Part: &coarsen.PEContraction{FirstCoarse: 1, Weights: []int64{2}, FineGlobal: []int32{0}, FineCoarse: []int32{1}}}}
 	gotr, err := DecodeResult(AppendResult(nil, r))
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestAssignJobResultRoundTrip(t *testing.T) {
 		t.Fatalf("result changed: %+v", gotr)
 	}
 
-	empty := Result{PE: 0, Matched: 0}
+	empty := Result{coarsen.PELevel{PE: 0, Matched: 0}}
 	gote, err := DecodeResult(AppendResult(nil, empty))
 	if err != nil {
 		t.Fatal(err)

@@ -177,9 +177,6 @@ const (
 	PhaseTotal   = core.PhaseTotal
 )
 
-// Timings is an Observer accumulating per-phase durations from PhaseEvents.
-type Timings = core.Timings
-
 // MetricsRegistry is a dependency-free metrics registry (counters, gauges,
 // fixed-bound histograms) exposed as Prometheus text and as a JSON snapshot;
 // see WithMetrics and MetricsHandler.
