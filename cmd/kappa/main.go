@@ -28,22 +28,15 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
-	"syscall"
 
 	"repro/internal/core"
-	"repro/internal/dist"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/graphio"
 	"repro/internal/part"
@@ -86,21 +79,14 @@ func main() {
 			return
 		}
 	}
+	var jf jobFlags
+	jf.register(flag.CommandLine, "number of simulated PEs for coarsening (default: k)")
+	flag.StringVar(&jf.spec.Coarsen, "coarsen", "shared", "coarsening mode: shared | distributed")
+	flag.IntVar(&jf.spec.Workers, "workers", 0, "goroutines for the data-parallel kernels (parallel contraction); 0 = GOMAXPROCS, 1 = serial. Results are identical for every value")
 	var (
-		inFile   = flag.String("in", "", "input graph file (METIS or binary; format sniffed)")
-		genSpec  = flag.String("gen", "", "generator spec: rgg:S | delaunay:S | grid:WxH | grid3d:XxYxZ | road:N | social:N | rmat:S | fem:N | banded:N")
-		k        = flag.Int("k", 2, "number of blocks")
-		preset   = flag.String("preset", "fast", "minimal | fast | strong")
-		eps      = flag.Float64("eps", 0.03, "allowed imbalance")
-		seed     = flag.Uint64("seed", 0, "random seed")
-		outFile  = flag.String("out", "", "write the block of each node, one per line")
-		pes      = flag.Int("pes", 0, "number of simulated PEs for coarsening (default: k)")
-		distFl   = flag.String("dist", "auto", "node-to-PE distribution: auto | ranges | rcb | sfc")
-		coarsFl  = flag.String("coarsen", "shared", "coarsening mode: shared | distributed")
-		eval     = flag.String("eval", "", "evaluate (and refine) an existing partition file instead of partitioning from scratch")
+		eval     = flag.String("eval", "", "evaluate (and refine) an existing partition file instead of partitioning from scratch; block ids are validated against -k")
 		progress = flag.Bool("progress", false, "print pipeline trace events (levels, init cut, refinement gains, phase times) to stderr")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this duration (e.g. 30s); 0 = no limit")
-		workers  = flag.Int("workers", 0, "goroutines for the data-parallel kernels (parallel contraction); 0 = GOMAXPROCS, 1 = serial. Results are identical for every value")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (after the run, post-GC) to this file")
 	)
@@ -147,40 +133,14 @@ func main() {
 		defer stopProfiles()
 	}
 
-	g, err := loadGraph(*inFile, *genSpec)
+	in, err := jf.spec.Build("")
 	if err != nil {
 		fail(err)
 	}
-	variant, err := parsePreset(*preset)
-	if err != nil {
-		fail(err)
-	}
-	cfg := core.NewConfig(variant, *k)
-	cfg.Eps = *eps
-	cfg.Seed = *seed
-	cfg.PEs = *pes
-	cfg.Workers = *workers
-	strategy, err := dist.ParseStrategy(*distFl)
-	if err != nil {
-		fail(fmt.Errorf("%w: %v", core.ErrInvalidConfig, err))
-	}
-	cfg.Distribution = strategy
-	mode, err := core.ParseCoarsenMode(*coarsFl)
-	if err != nil {
-		fail(fmt.Errorf("%w: %v", core.ErrInvalidConfig, err))
-	}
-	cfg.Coarsen = mode
+	g, cfg := in.Graph, in.Config
 
-	// SIGINT/SIGTERM cancel the run context: the pipeline unwinds between
-	// kernels, profiles flush, and the process exits 1 — instead of dying
-	// mid-write with a truncated -out file or an empty CPU profile.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	ctx, cancel := runContext(*timeout)
+	defer cancel()
 	var opts []core.Option
 	if *progress {
 		opts = append(opts, progressOption())
@@ -192,20 +152,27 @@ func main() {
 	opts = append(opts, obsOpts...)
 
 	if *eval != "" {
-		blocks, err := readPartition(*eval, g.NumNodes())
+		f, err := os.Open(*eval)
 		if err != nil {
 			fail(err)
 		}
-		cut, bal, feasible := evalBlocks(g, *k, *eps, blocks)
+		blocks, err := graphio.ReadPartition(f, g.NumNodes(), cfg.K)
+		f.Close()
+		if err != nil {
+			fail(err)
+		}
+		cut, bal, feasible := evalBlocks(g, cfg, blocks)
 		fmt.Printf("input partition: cut=%d balance=%.4f feasible=%v\n", cut, bal, feasible)
 		refined, rcut, err := core.RefineExisting(ctx, g, cfg, blocks, opts...)
 		if err != nil {
 			fail(err)
 		}
-		_, rbal, rfeasible := evalBlocks(g, *k, *eps, refined)
+		_, rbal, rfeasible := evalBlocks(g, cfg, refined)
 		fmt.Printf("after refining:  cut=%d balance=%.4f feasible=%v\n", rcut, rbal, rfeasible)
-		if *outFile != "" {
-			writePartition(*outFile, refined)
+		if jf.out != "" {
+			if err := savePartition(jf.out, refined); err != nil {
+				fail(err)
+			}
 		}
 		return
 	}
@@ -223,91 +190,15 @@ func main() {
 	if err := runObs.finish(res); err != nil {
 		fail(err)
 	}
-	p := part.FromBlocks(g, *k, *eps, res.Blocks)
 	sum := ob.summaryWriter()
 	fmt.Fprintf(sum, "graph     n=%d m=%d\n", g.NumNodes(), g.NumEdges())
-	fmt.Fprintf(sum, "preset    %s (k=%d, eps=%.2f, dist=%s, coarsen=%s)\n", variant, *k, *eps, strategy, mode)
-	fmt.Fprintf(sum, "cut       %d\n", res.Cut)
-	fmt.Fprintf(sum, "balance   %.4f (Lmax %d, feasible %v)\n", res.Balance, p.Lmax(), p.Feasible())
-	fmt.Fprintf(sum, "levels    %d\n", res.Levels)
-	fmt.Fprintf(sum, "time      total %v (coarsen %v, init %v, refine %v)\n",
-		res.TotalTime.Round(1e6), res.CoarsenTime.Round(1e6), res.InitTime.Round(1e6), res.RefineTime.Round(1e6))
-
-	if *outFile != "" {
-		writePartition(*outFile, res.Blocks)
-		fmt.Fprintf(sum, "partition written to %s\n", *outFile)
-	}
-}
-
-func evalBlocks(g *graph.Graph, k int, eps float64, blocks []int32) (int64, float64, bool) {
-	p := part.FromBlocks(g, k, eps, blocks)
-	return p.Cut(), p.Imbalance(), p.Feasible()
-}
-
-// readPartition parses a one-block-per-line partition file.
-func readPartition(path string, n int) ([]int32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	blocks := make([]int32, 0, n)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		v, err := strconv.Atoi(line)
-		if err != nil {
-			return nil, fmt.Errorf("bad partition line %q: %w", line, err)
-		}
-		blocks = append(blocks, int32(v))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(blocks) != n {
-		return nil, fmt.Errorf("partition file has %d entries, graph has %d nodes", len(blocks), n)
-	}
-	return blocks, nil
-}
-
-func writePartition(path string, blocks []int32) {
-	f, err := os.Create(path)
-	if err != nil {
+	fmt.Fprintf(sum, "preset    %s (k=%d, eps=%.2f, dist=%s, coarsen=%s)\n", in.Variant, cfg.K, cfg.Eps, cfg.Distribution, cfg.Coarsen)
+	if err := jf.report(sum, in, res); err != nil {
 		fail(err)
 	}
-	w := bufio.NewWriter(f)
-	for _, b := range blocks {
-		fmt.Fprintln(w, b)
-	}
-	w.Flush()
-	f.Close()
 }
 
-// loadGraph resolves the input: usage errors (bad generator spec, neither
-// -in nor -gen) wrap ErrInvalidConfig so they exit 2; I/O errors (missing
-// or unreadable file) stay runtime errors and exit 1.
-func loadGraph(inFile, genSpec string) (*graph.Graph, error) {
-	switch {
-	case inFile != "":
-		// Format is sniffed from the content, so -in takes METIS text and
-		// binary .bgraph files alike.
-		return graphio.ReadFile(inFile)
-	case genSpec != "":
-		g, err := generate(genSpec)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", core.ErrInvalidConfig, err)
-		}
-		return g, nil
-	default:
-		return nil, fmt.Errorf("%w: need -in or -gen", core.ErrInvalidConfig)
-	}
-}
-
-// generate delegates to the validated spec parser shared with the service
-// layer, so CLI and API jobs accept exactly the same generator vocabulary.
-func generate(spec string) (*graph.Graph, error) {
-	return gen.FromSpec(spec)
+func evalBlocks(g *graph.Graph, cfg core.Config, blocks []int32) (int64, float64, bool) {
+	p := part.FromBlocks(g, cfg.K, cfg.Eps, blocks)
+	return p.Cut(), p.Imbalance(), p.Feasible()
 }

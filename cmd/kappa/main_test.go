@@ -57,6 +57,16 @@ func moduleRoot(t *testing.T) string {
 	}
 }
 
+// readPartitionFile reads a partition file written by -out.
+func readPartitionFile(path string, n, k int) ([]int32, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return graphio.ReadPartition(f, n, k)
+}
+
 // freePort reserves a localhost TCP port for the coordinator.
 func freePort(t *testing.T) int {
 	t.Helper()
@@ -164,7 +174,7 @@ func TestServeWorkerProcessesMatchInProcess(t *testing.T) {
 		t.Errorf("multi-process cut %d, in-process cut %d", cut, want.Cut)
 	}
 
-	got, err := readPartition(partFile, g.NumNodes())
+	got, err := readPartitionFile(partFile, g.NumNodes(), cfg.K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +294,7 @@ func TestServeChaosWorkerKillProcesses(t *testing.T) {
 	if cut != want.Cut {
 		t.Errorf("chaos-run cut %d, healthy in-process cut %d", cut, want.Cut)
 	}
-	got, err := readPartition(partFile, g.NumNodes())
+	got, err := readPartitionFile(partFile, g.NumNodes(), cfg.K)
 	if err != nil {
 		t.Fatal(err)
 	}

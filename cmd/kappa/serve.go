@@ -1,21 +1,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/graph"
-	"repro/internal/part"
 	"repro/internal/remote"
-	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -27,19 +21,12 @@ import (
 // in-process `kappa -coarsen distributed` run at the same seed.
 func runServe(args []string) {
 	fs := flag.NewFlagSet("kappa serve", flag.ExitOnError)
+	var jf jobFlags
+	jf.register(fs, "number of worker processes to wait for (default: k)")
+	fs.StringVar(&jf.spec.ShardDir, "shards", "", "serve from an on-disk shard store directory (kappa shard output); the coordinator streams shard files and never materializes the global adjacency")
 	var (
-		inFile   = fs.String("in", "", "input graph file (METIS or binary; format sniffed)")
-		genSpec  = fs.String("gen", "", "generator spec (see kappa -gen)")
-		shards   = fs.String("shards", "", "serve from an on-disk shard store directory (kappa shard output); the coordinator streams shard files and never materializes the global adjacency")
-		k        = fs.Int("k", 2, "number of blocks")
-		preset   = fs.String("preset", "fast", "minimal | fast | strong")
-		eps      = fs.Float64("eps", 0.03, "allowed imbalance")
-		seed     = fs.Uint64("seed", 0, "random seed")
-		pes      = fs.Int("pes", 0, "number of worker processes to wait for (default: k)")
-		distFl   = fs.String("dist", "auto", "node-to-PE distribution: auto | ranges | rcb | sfc")
 		listen   = fs.String("listen", "127.0.0.1:2177", "address to accept workers on (host:port, or a path with -network unix)")
 		network  = fs.String("network", "tcp", "listener network: tcp | unix")
-		outFile  = fs.String("out", "", "write the block of each node, one per line")
 		progress = fs.Bool("progress", false, "print pipeline trace events to stderr")
 		timeout  = fs.Duration("timeout", 0, "abort the run after this duration; 0 = no limit")
 		wtimeout = fs.Duration("worker-timeout", 0,
@@ -57,77 +44,20 @@ func runServe(args []string) {
 	}
 
 	// Input: a graph (-in/-gen) the coordinator holds in memory, or a shard
-	// store (-shards) it streams from disk. With -shards the graph variable
-	// is a memory-mapped view of the store's CSR segment — observability and
-	// the summary read through it at O(1) heap cost.
-	var g *graph.Graph
-	var st *store.Store
-	switch {
-	case *shards != "":
-		if *inFile != "" || *genSpec != "" {
-			fail(fmt.Errorf("%w: -shards replaces -in/-gen (the store IS the graph)", core.ErrInvalidConfig))
-		}
-		var err error
-		st, err = store.Open(*shards)
-		if err != nil {
-			fail(err)
-		}
-		mg, err := st.MapGraph()
-		if err != nil {
-			fail(err)
-		}
-		defer mg.Close()
-		g = mg.G
-	default:
-		var err error
-		g, err = loadGraph(*inFile, *genSpec)
-		if err != nil {
-			fail(err)
-		}
-	}
-	variant, err := parsePreset(*preset)
+	// store (-shards) it streams from disk, whose shard count and strategy
+	// the Config adopts. With -shards the graph is a memory-mapped view of
+	// the store's CSR segment — observability and the summary read through
+	// it at O(1) heap cost.
+	jf.spec.Coarsen = core.CoarsenDistributed.String()
+	in, err := jf.spec.Build("")
 	if err != nil {
 		fail(err)
 	}
-	cfg := core.NewConfig(variant, *k)
-	cfg.Eps = *eps
-	cfg.Seed = *seed
-	cfg.PEs = *pes
-	strategy, err := dist.ParseStrategy(*distFl)
-	if err != nil {
-		fail(fmt.Errorf("%w: %v", core.ErrInvalidConfig, err))
-	}
-	cfg.Distribution = strategy
-	cfg.Coarsen = core.CoarsenDistributed
-	if st != nil {
-		// Adopt the manifest's shape before anything sizes itself off cfg
-		// (transport stats, the handshake's worker count, the report). A
-		// conflicting -pes or -dist fails here rather than mid-handshake.
-		m := st.Manifest()
-		if cfg.PEs != 0 && cfg.PEs != m.PEs {
-			fail(fmt.Errorf("%w: -pes %d but the store holds %d shards", core.ErrInvalidConfig, cfg.PEs, m.PEs))
-		}
-		cfg.PEs = m.PEs
-		mstrat, err := dist.ParseStrategy(m.Strategy)
-		if err != nil {
-			fail(err)
-		}
-		if strategy != mstrat && strategy != dist.StrategyAuto {
-			fail(fmt.Errorf("%w: -dist %s but the shards were extracted under %s", core.ErrInvalidConfig, strategy, mstrat))
-		}
-		strategy = mstrat
-		cfg.Distribution = mstrat
-	}
+	defer in.Close()
+	g, cfg, st := in.Graph, in.Config, in.Store
 
-	// SIGINT/SIGTERM cancel the coordination context: workers see the
-	// connection close, cleanup runs, and the process exits 1.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	ctx, cancel := runContext(*timeout)
+	defer cancel()
 	var opts []core.Option
 	if *progress {
 		opts = append(opts, progressOption())
@@ -165,25 +95,18 @@ func runServe(args []string) {
 	if err := runObs.finish(res); err != nil {
 		fail(err)
 	}
-	p := part.FromBlocks(g, *k, *eps, res.Blocks)
 	sum := ob.summaryWriter()
 	fmt.Fprintf(sum, "graph     n=%d m=%d\n", g.NumNodes(), g.NumEdges())
-	fmt.Fprintf(sum, "preset    %s (k=%d, eps=%.2f, dist=%s, pes=%d workers)\n", variant, *k, *eps, strategy, cfg.NumPEs())
+	fmt.Fprintf(sum, "preset    %s (k=%d, eps=%.2f, dist=%s, pes=%d workers)\n", in.Variant, cfg.K, cfg.Eps, cfg.Distribution, cfg.NumPEs())
 	if st != nil {
-		fmt.Fprintf(sum, "store     %s (%d shards streamed, global CSR memory-mapped)\n", *shards, counters.Snapshot().ShardsStreamed)
+		fmt.Fprintf(sum, "store     %s (%d shards streamed, global CSR memory-mapped)\n", jf.spec.ShardDir, counters.Snapshot().ShardsStreamed)
 	}
 	if s := counters.Snapshot(); s.WorkerFailures+s.Reassignments+s.LocalFallbacks+s.LevelRetries > 0 {
 		fmt.Fprintf(sum, "faults    workers_failed=%d reassigned=%d level_retries=%d local_fallbacks=%d\n",
 			s.WorkerFailures, s.Reassignments, s.LevelRetries, s.LocalFallbacks)
 	}
-	fmt.Fprintf(sum, "cut       %d\n", res.Cut)
-	fmt.Fprintf(sum, "balance   %.4f (Lmax %d, feasible %v)\n", res.Balance, p.Lmax(), p.Feasible())
-	fmt.Fprintf(sum, "levels    %d\n", res.Levels)
-	fmt.Fprintf(sum, "time      total %v (coarsen %v, init %v, refine %v)\n",
-		res.TotalTime.Round(1e6), res.CoarsenTime.Round(1e6), res.InitTime.Round(1e6), res.RefineTime.Round(1e6))
-	if *outFile != "" {
-		writePartition(*outFile, res.Blocks)
-		fmt.Fprintf(sum, "partition written to %s\n", *outFile)
+	if err := jf.report(sum, in, res); err != nil {
+		fail(err)
 	}
 }
 
@@ -214,15 +137,8 @@ func runWorker(args []string) {
 		wire.SetMaxFrame(*maxFrame)
 	}
 
-	// SIGINT/SIGTERM cancel the worker context: the in-flight superstep
-	// aborts, the connection closes, and the process exits 1.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	ctx, cancel := runContext(*timeout)
+	defer cancel()
 	faults, err := dist.ParseFaultSchedule(*faultsFl)
 	if err != nil {
 		fail(fmt.Errorf("%w: %v", core.ErrInvalidConfig, err))
@@ -243,12 +159,8 @@ func runWorker(args []string) {
 	}
 	fmt.Fprintf(os.Stderr, "kappa: worker PE %d done after %d levels\n", wr.PE, wr.Levels)
 	if *outFile != "" && wr.Partition != nil {
-		writePartition(*outFile, wr.Partition)
+		if err := savePartition(*outFile, wr.Partition); err != nil {
+			fail(err)
+		}
 	}
-}
-
-// parsePreset maps a preset name to its variant, via the parser shared with
-// the service layer.
-func parsePreset(name string) (core.Variant, error) {
-	return core.ParseVariant(name)
 }

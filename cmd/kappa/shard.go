@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/store"
+	"repro/internal/svc"
 )
 
 // runShard is the `kappa shard` subcommand: it partitions a graph's nodes
@@ -39,12 +40,13 @@ func runShard(args []string) {
 	if err != nil {
 		fail(fmt.Errorf("%w: %v", core.ErrInvalidConfig, err))
 	}
-	g, err := loadGraph(*inFile, *genSpec)
+	src := svc.JobSpec{GraphFile: *inFile, Gen: *genSpec}
+	in, err := src.Load("")
 	if err != nil {
 		fail(err)
 	}
 
-	m, err := store.Write(*outDir, g, store.WriteOptions{
+	m, err := store.Write(*outDir, in.Graph, store.WriteOptions{
 		PEs:      *pes,
 		Strategy: strategy,
 		Workers:  *workers,

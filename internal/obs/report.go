@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 
@@ -153,12 +154,30 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
+// Render returns the report's WriteTo bytes and the bytes of the same report
+// under ZeroTimes — the two renderings a job serves (as recorded, and
+// byte-comparable across runs). It leaves r zeroed.
+func (r *Report) Render() (recorded, zeroed []byte, err error) {
+	var a, z bytes.Buffer
+	if _, err := r.WriteTo(&a); err != nil {
+		return nil, nil, err
+	}
+	r.ZeroTimes()
+	if _, err := r.WriteTo(&z); err != nil {
+		return nil, nil, err
+	}
+	return a.Bytes(), z.Bytes(), nil
+}
+
 // ReportObserver assembles a Report from the pipeline's trace stream. Attach
 // it with core.WithObserver, run, then call Finish with the run's result.
 // Like every Observer it is driven from the single coordinating goroutine
 // and needs no locking; one observer records one run (Reset between runs).
 type ReportObserver struct {
 	report Report
+	// arenaBase is the arena's accounting when the run started (MarkArena);
+	// zero for a fresh arena.
+	arenaBase mem.ArenaStats
 }
 
 // NewReportObserver returns an observer recording graph shape and
@@ -171,6 +190,7 @@ func NewReportObserver(g *graph.Graph, cfg core.Config) *ReportObserver {
 }
 
 func (o *ReportObserver) init(g *graph.Graph, cfg core.Config) {
+	o.arenaBase = mem.ArenaStats{}
 	o.report = Report{
 		Graph: GraphReport{Nodes: g.NumNodes(), Edges: g.NumEdges()},
 		Config: ConfigReport{
@@ -234,20 +254,28 @@ func TraceRow(ev core.TraceEvent) (string, any) {
 // run of the same graph and configuration.
 func (o *ReportObserver) Reset(g *graph.Graph, cfg core.Config) { o.init(g, cfg) }
 
+// MarkArena records a's accounting as the run's starting point, so Finish
+// reports only this run's arena activity: a pooled arena reused across runs
+// then reports exactly what a fresh per-run arena would. Call it before the
+// run; without it Finish reports a's totals, which for a fresh arena are the
+// same thing.
+func (o *ReportObserver) MarkArena(a *mem.Arena) { o.arenaBase = a.Stats() }
+
 // Finish stamps the run's result and returns the assembled report. Optional
-// transport stats and arena snapshots are folded in when non-nil.
+// transport stats and the arena's activity since MarkArena are folded in
+// when non-nil.
 func (o *ReportObserver) Finish(res core.Result, stats *dist.TransportStats, arena *mem.Arena) *Report {
 	o.report.Result = ResultReport{Cut: res.Cut, Balance: res.Balance, Levels: res.Levels}
 	if stats != nil {
 		o.report.Transport = transportSection(stats)
 	}
 	if arena != nil {
-		st := arena.Stats()
+		st, base := arena.Stats(), o.arenaBase
 		o.report.Arena = &ArenaReport{
-			Borrows:        st.Borrows,
-			Reused:         st.Reused,
-			Misses:         st.Misses,
-			AllocatedBytes: st.AllocatedBytes,
+			Borrows:        st.Borrows - base.Borrows,
+			Reused:         st.Reused - base.Reused,
+			Misses:         st.Misses - base.Misses,
+			AllocatedBytes: st.AllocatedBytes - base.AllocatedBytes,
 			LiveBytes:      st.LiveBytes,
 			PooledBytes:    st.PooledBytes,
 		}

@@ -23,20 +23,6 @@ type Partition struct {
 	lmax    int64
 }
 
-// New returns a partition with every node in block 0.
-func New(g *graph.Graph, k int, eps float64) *Partition {
-	p := &Partition{
-		G:       g,
-		K:       k,
-		Eps:     eps,
-		Block:   make([]int32, g.NumNodes()),
-		weights: make([]int64, k),
-	}
-	p.weights[0] = g.TotalNodeWeight()
-	p.lmax = ComputeLmax(g, k, eps)
-	return p
-}
-
 // FromBlocks wraps an existing block assignment (which is adopted, not
 // copied).
 //

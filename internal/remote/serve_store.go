@@ -20,27 +20,15 @@ import (
 // files hold the exact bytes level-0 extraction would wire-encode, and the
 // mapped CSR holds the exact values the in-memory graph holds).
 //
-// The manifest is authoritative for the run's shape: cfg.PEs is taken from
-// it (a non-zero cfg.PEs that disagrees is rejected — the store has exactly
-// that many shards to stream), and cfg.Distribution is forced to the
-// strategy the shards were extracted under (an explicit conflicting strategy
-// is rejected; StrategyAuto defers to the manifest).
+// The manifest is authoritative for the run's shape: store.Manifest.Adopt
+// takes cfg.PEs and cfg.Distribution from it and rejects an explicit
+// conflicting value — the store has exactly that many shards to stream,
+// extracted under exactly that strategy.
 func ServeStore(ctx context.Context, ln net.Listener, st *store.Store, cfg core.Config, so ServeOptions, opts ...core.Option) (core.Result, error) {
 	m := st.Manifest()
-	if cfg.PEs != 0 && cfg.PEs != m.PEs {
-		return core.Result{}, fmt.Errorf("%w: %d PEs configured but the store holds %d shards",
-			core.ErrInvalidConfig, cfg.PEs, m.PEs)
+	if err := m.Adopt(&cfg); err != nil {
+		return core.Result{}, err
 	}
-	cfg.PEs = m.PEs
-	strat, err := dist.ParseStrategy(m.Strategy)
-	if err != nil {
-		return core.Result{}, fmt.Errorf("remote: store manifest: %w", err)
-	}
-	if cfg.Distribution != strat && cfg.Distribution != dist.StrategyAuto {
-		return core.Result{}, fmt.Errorf("%w: distribution %s requested but the shards were extracted under %s",
-			core.ErrInvalidConfig, cfg.Distribution, strat)
-	}
-	cfg.Distribution = strat
 
 	mg, err := st.MapGraph()
 	if err != nil {

@@ -87,11 +87,6 @@ func (r *RNG) Intn(n int) int {
 	return int(hi)
 }
 
-// Int31n is like Intn but returns an int32, for use with CSR node ids.
-func (r *RNG) Int31n(n int32) int32 {
-	return int32(r.Intn(int(n)))
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

@@ -7,6 +7,8 @@ import (
 	"io"
 	"path/filepath"
 
+	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/graphio"
 )
 
@@ -192,6 +194,30 @@ func (m *Manifest) Validate() error {
 		m.CSR.EwgtOff != lay.ewgtOff || m.CSR.NwgtOff != lay.nwgtOff || m.CSR.CoordOff != lay.coordOff {
 		return fmt.Errorf("store: csr section offsets disagree with the derived layout")
 	}
+	return nil
+}
+
+// Adopt takes the store's shape into cfg: the shard files embody exactly
+// m.PEs PEs under m.Strategy, so a run over the store uses both. A non-zero
+// cfg.PEs that disagrees, or an explicit distribution other than the
+// manifest's (StrategyAuto defers to it), is an ErrInvalidConfig error.
+// Every entry point that runs from a store — kappa serve -shards, a
+// shard_dir job, remote.ServeStore — reconciles its config here.
+func (m *Manifest) Adopt(cfg *core.Config) error {
+	if cfg.PEs != 0 && cfg.PEs != m.PEs {
+		return fmt.Errorf("%w: %d PEs requested, but the shard store holds %d shards",
+			core.ErrInvalidConfig, cfg.PEs, m.PEs)
+	}
+	strategy, err := dist.ParseStrategy(m.Strategy)
+	if err != nil {
+		return fmt.Errorf("store: manifest: %w", err)
+	}
+	if cfg.Distribution != strategy && cfg.Distribution != dist.StrategyAuto {
+		return fmt.Errorf("%w: distribution %s requested, but the shards were extracted under %s",
+			core.ErrInvalidConfig, cfg.Distribution, strategy)
+	}
+	cfg.PEs = m.PEs
+	cfg.Distribution = strategy
 	return nil
 }
 

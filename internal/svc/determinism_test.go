@@ -45,10 +45,8 @@ func TestJobMatchesDirectRunByteForByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPartition := renderPartition(res.Blocks)
-	rep := reporter.Finish(res, stats, arena)
-	rep.ZeroTimes()
-	wantReport, err := renderReport(rep)
+	wantPartition := partitionText(t, res.Blocks)
+	_, wantReport, err := reporter.Finish(res, stats, arena).Render()
 	if err != nil {
 		t.Fatal(err)
 	}

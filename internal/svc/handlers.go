@@ -5,58 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/dist"
-	"repro/internal/gen"
-	"repro/internal/graph"
-	"repro/internal/graphio"
 	"repro/internal/obs"
-	"repro/internal/store"
 )
-
-// JobSpec is the submit-request body. Fields mirror the kappa CLI flags
-// one-to-one so a job's result is byte-identical to the equivalent one-shot
-// run: {"gen":"rgg:10","k":4,"seed":7} is `kappa -gen rgg:10 -k 4 -seed 7`.
-// Exactly one graph source — gen, graph_file, or graph — must be set.
-type JobSpec struct {
-	// Gen is a synthetic-generator spec (rgg:S, grid:WxH, road:N, ...),
-	// the CLI's -gen.
-	Gen string `json:"gen,omitempty"`
-	// GraphFile names a server-side graph file (METIS or binary, format
-	// sniffed), the CLI's -in. When the server was started with a graph
-	// directory, the path is resolved inside it and may not escape.
-	GraphFile string `json:"graph_file,omitempty"`
-	// Graph is an inline METIS-format graph, for clients that ship the
-	// input in the request. Bounded by the server's max body size.
-	Graph string `json:"graph,omitempty"`
-	// ShardDir names a server-side shard store directory (kappa shard
-	// output), the serve subcommand's -shards. The global graph is
-	// memory-mapped from the store's CSR segment, and the manifest's shard
-	// count and distribution strategy are adopted into the job's config —
-	// a conflicting pes or dist is rejected at submit time. Confined to the
-	// server's graph directory like graph_file.
-	ShardDir string `json:"shard_dir,omitempty"`
-
-	K       int     `json:"k"`
-	Preset  string  `json:"preset,omitempty"`  // minimal | fast | strong; default fast
-	Eps     float64 `json:"eps,omitempty"`     // default 0.03
-	Seed    uint64  `json:"seed,omitempty"`    // default 0
-	PEs     int     `json:"pes,omitempty"`     // default: k
-	Dist    string  `json:"dist,omitempty"`    // auto | ranges | rcb | sfc
-	Coarsen string  `json:"coarsen,omitempty"` // shared | distributed
-	Workers int     `json:"workers,omitempty"` // default GOMAXPROCS
-
-	// Timeout is the job's deadline as a Go duration string ("30s"); it
-	// starts at admission, so queue time counts. Empty means the server
-	// default; values above the server maximum are clamped to it.
-	Timeout string `json:"timeout,omitempty"`
-}
 
 // errorBody is every non-2xx JSON response.
 type errorBody struct {
@@ -126,13 +81,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad job spec: " + err.Error()})
 		return
 	}
-	g, cfg, timeout, err := s.buildJob(&spec)
+	in, err := spec.Build(s.opts.GraphDir)
+	var timeout time.Duration
+	if err == nil {
+		timeout, err = s.jobTimeout(spec.Timeout)
+	}
 	if err != nil {
 		s.metrics.reject("invalid")
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
-	j, err := s.submit(g, cfg, timeout)
+	// A shard_dir job's mapping stays open for the job's retained lifetime
+	// (Status reads node and edge counts through it); the GC releases it
+	// once the job is evicted from retention.
+	j, err := s.submit(in.Graph, in.Config, timeout)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		s.metrics.reject("queue_full")
@@ -162,139 +124,24 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-// buildJob turns a spec into the same graph and configuration the CLI would
-// build from the equivalent flags — the construction paths must not drift,
-// or the byte-identity contract between API jobs and one-shot runs breaks.
-func (s *Server) buildJob(spec *JobSpec) (*graph.Graph, core.Config, time.Duration, error) {
-	var zero core.Config
-	g, man, err := s.resolveGraph(spec)
-	if err != nil {
-		return nil, zero, 0, err
-	}
-	variant, err := core.ParseVariant(spec.Preset)
-	if err != nil {
-		return nil, zero, 0, err
-	}
-	cfg := core.NewConfig(variant, spec.K)
-	if spec.Eps != 0 {
-		cfg.Eps = spec.Eps
-	}
-	cfg.Seed = spec.Seed
-	cfg.PEs = spec.PEs
-	cfg.Workers = spec.Workers
-	strategy, err := dist.ParseStrategy(spec.Dist)
-	if err != nil {
-		return nil, zero, 0, err
-	}
-	cfg.Distribution = strategy
-	mode, err := core.ParseCoarsenMode(spec.Coarsen)
-	if err != nil {
-		return nil, zero, 0, err
-	}
-	cfg.Coarsen = mode
-	if man != nil {
-		// A shard-store job adopts the manifest's shape, exactly like
-		// `kappa serve -shards`: the store's shard count and extraction
-		// strategy are facts of the input, not knobs of the request.
-		if cfg.PEs != 0 && cfg.PEs != man.PEs {
-			return nil, zero, 0, fmt.Errorf("pes %d, but shard store %q holds %d shards", cfg.PEs, spec.ShardDir, man.PEs)
-		}
-		cfg.PEs = man.PEs
-		mstrat, err := dist.ParseStrategy(man.Strategy)
-		if err != nil {
-			return nil, zero, 0, err
-		}
-		if strategy != mstrat && strategy != dist.StrategyAuto {
-			return nil, zero, 0, fmt.Errorf("dist %s, but shard store %q was extracted under %s", strategy, spec.ShardDir, mstrat)
-		}
-		cfg.Distribution = mstrat
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, zero, 0, err
-	}
-
+// jobTimeout resolves a spec's deadline: its Timeout when set, the server
+// default otherwise, clamped to the server maximum.
+func (s *Server) jobTimeout(spec string) (time.Duration, error) {
 	timeout := s.opts.DefaultTimeout
-	if spec.Timeout != "" {
-		d, err := time.ParseDuration(spec.Timeout)
+	if spec != "" {
+		d, err := time.ParseDuration(spec)
 		if err != nil {
-			return nil, zero, 0, fmt.Errorf("bad timeout %q: %v", spec.Timeout, err)
+			return 0, fmt.Errorf("bad timeout %q: %v", spec, err)
 		}
 		if d < 0 {
-			return nil, zero, 0, fmt.Errorf("timeout must be >= 0, got %v", d)
+			return 0, fmt.Errorf("timeout must be >= 0, got %v", d)
 		}
 		timeout = d
 	}
 	if s.opts.MaxTimeout > 0 && (timeout == 0 || timeout > s.opts.MaxTimeout) {
 		timeout = s.opts.MaxTimeout
 	}
-	return g, cfg, timeout, nil
-}
-
-// resolveGraph loads the job's input from exactly one of the four sources.
-// Shard-store jobs additionally return the store's manifest so buildJob can
-// adopt its shape into the config.
-func (s *Server) resolveGraph(spec *JobSpec) (*graph.Graph, *store.Manifest, error) {
-	sources := 0
-	for _, set := range []bool{spec.Gen != "", spec.GraphFile != "", spec.Graph != "", spec.ShardDir != ""} {
-		if set {
-			sources++
-		}
-	}
-	if sources != 1 {
-		return nil, nil, fmt.Errorf("job spec must name exactly one graph source (gen, graph_file, graph, or shard_dir), got %d", sources)
-	}
-	switch {
-	case spec.Gen != "":
-		g, err := gen.FromSpec(spec.Gen)
-		return g, nil, err
-	case spec.Graph != "":
-		g, err := graphio.ReadMETIS(strings.NewReader(spec.Graph))
-		if err != nil {
-			return nil, nil, fmt.Errorf("inline graph: %w", err)
-		}
-		return g, nil, nil
-	case spec.ShardDir != "":
-		path, err := s.confine("shard_dir", spec.ShardDir)
-		if err != nil {
-			return nil, nil, err
-		}
-		st, err := store.Open(path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("shard_dir: %v", err)
-		}
-		// The mapping stays open for the job's retained lifetime — Status
-		// keeps reading node/edge counts through it — and is released by
-		// MapGraph's GC backstop when the job is evicted from retention.
-		mg, err := st.MapGraph()
-		if err != nil {
-			return nil, nil, fmt.Errorf("shard_dir: %v", err)
-		}
-		return mg.G, st.Manifest(), nil
-	default:
-		path, err := s.confine("graph_file", spec.GraphFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		g, err := graphio.ReadFile(path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("graph_file: %v", err)
-		}
-		return g, nil, nil
-	}
-}
-
-// confine resolves a client-supplied path under the served graph directory:
-// the path must be relative and stay inside it after cleaning. With no
-// configured directory any server-readable path is allowed.
-func (s *Server) confine(field, path string) (string, error) {
-	dir := s.opts.GraphDir
-	if dir == "" {
-		return path, nil
-	}
-	if filepath.IsAbs(path) || !filepath.IsLocal(path) {
-		return "", fmt.Errorf("%s %q escapes the served graph directory", field, path)
-	}
-	return filepath.Join(dir, path), nil
+	return timeout, nil
 }
 
 // handleList returns every retained job's status, ordered by job number so

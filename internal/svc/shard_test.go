@@ -69,7 +69,7 @@ func TestShardDirJobMatchesDirectRun(t *testing.T) {
 	}
 	got := httptest.NewRecorder()
 	h.ServeHTTP(got, httptest.NewRequest("GET", st.Partition, nil))
-	if !bytes.Equal(got.Body.Bytes(), renderPartition(want.Blocks)) {
+	if !bytes.Equal(got.Body.Bytes(), partitionText(t, want.Blocks)) {
 		t.Fatal("shard_dir job partition differs from the direct run")
 	}
 }

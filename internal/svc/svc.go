@@ -31,6 +31,7 @@
 package svc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -41,6 +42,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/graphio"
 	"repro/internal/mem"
 	"repro/internal/obs"
 )
@@ -243,11 +245,12 @@ func (s *Server) runJob(j *Job, arena *mem.Arena) (res core.Result, arts *jobArt
 
 	// Observability mirrors the CLI's -report/-metrics wiring: per-job
 	// transport stats and report observer, pipeline metrics into the shared
-	// registry. The arena section is the delta across this job, so a pooled
-	// arena reports exactly what a fresh per-run arena would.
+	// registry. The slot's arena is pooled across jobs, so the report marks
+	// it first: its arena section is this job's share, exactly what a fresh
+	// per-run arena would report.
 	stats := dist.NewTransportStats(j.cfg.NumPEs())
 	reporter := obs.NewReportObserver(j.g, j.cfg)
-	before := arena.Stats()
+	reporter.MarkArena(arena)
 	opts := []core.Option{
 		core.WithArena(arena),
 		core.WithTransportStats(stats),
@@ -262,22 +265,10 @@ func (s *Server) runJob(j *Job, arena *mem.Arena) (res core.Result, arts *jobArt
 		return res, nil, err
 	}
 
-	rep := reporter.Finish(res, stats, nil)
-	after := arena.Stats()
-	rep.Arena = &obs.ArenaReport{
-		Borrows:        after.Borrows - before.Borrows,
-		Reused:         after.Reused - before.Reused,
-		Misses:         after.Misses - before.Misses,
-		AllocatedBytes: after.AllocatedBytes - before.AllocatedBytes,
-		LiveBytes:      after.LiveBytes,
-		PooledBytes:    after.PooledBytes,
-	}
-	arts = &jobArtifacts{partition: renderPartition(res.Blocks)}
-	if arts.report, err = renderReport(rep); err != nil {
-		return res, nil, err
-	}
-	rep.ZeroTimes()
-	if arts.reportZero, err = renderReport(rep); err != nil {
+	var part bytes.Buffer
+	graphio.WritePartition(&part, res.Blocks) // a bytes.Buffer write cannot fail
+	arts = &jobArtifacts{partition: part.Bytes()}
+	if arts.report, arts.reportZero, err = reporter.Finish(res, stats, arena).Render(); err != nil {
 		return res, nil, err
 	}
 	obs.RecordResult(s.opts.Registry, res)
@@ -295,8 +286,10 @@ func (s *Server) finishJob(j *Job, res core.Result, arts *jobArtifacts, err erro
 	default:
 		state = StateFailed
 	}
-	j.finish(state, res, arts, err)
+	// Count the state before finish wakes the job's waiters: whoever sees
+	// the job settle also sees it in kappa_jobs_*.
 	s.metrics.finished(state)
+	j.finish(state, res, arts, err)
 	s.retire(j.id)
 }
 

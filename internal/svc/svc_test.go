@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/graphio"
 )
 
 // blockingRun returns a run stub that parks every job until release is
@@ -74,6 +76,17 @@ func waitTerminal(t *testing.T, s *Server, id string) Status {
 		t.Fatalf("job %s did not settle", id)
 	}
 	return j.Status()
+}
+
+// partitionText encodes blocks in the partition text format, the bytes a
+// one-shot kappa -out run writes.
+func partitionText(t *testing.T, blocks []int32) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := graphio.WritePartition(&buf, blocks); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 const tinySpec = `{"gen":"grid:4x4","k":2}`
